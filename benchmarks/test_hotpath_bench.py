@@ -31,6 +31,8 @@ def test_smoke_bench_writes_valid_report(tmp_path):
         "detector_gad_window",
         "detector_aad_window",
         "preprocess_transform",
+        "motion_planning",
+        "depth_raycast",
     }
     # Every vectorized kernel must beat its scalar reference; the occupancy
     # gate is looser here than the full-bench >=3x because the smoke workload

@@ -2,11 +2,12 @@
 
 ``python -m repro bench`` runs this module.  It times every vectorized
 hot-path kernel against its scalar (point-by-point) reference on the fixed
-seeded workload of :mod:`repro.bench.workloads`, profiles one real closed-loop
-mission with the :class:`~repro.pipeline.kernel.KernelProfiler` active, and
-writes the combined perf-trajectory artifact ``BENCH_hotpath.json``
-(schema ``repro-bench-v1``, enforced by
-:func:`repro.bench.harness.validate_report`).
+seeded workload of :mod:`repro.bench.workloads` -- motion planning and depth
+ray casting on its reference corpus recorded from golden missions -- profiles
+one real closed-loop mission with the
+:class:`~repro.pipeline.kernel.KernelProfiler` active, and writes the combined
+perf-trajectory artifact ``BENCH_hotpath.json`` (schema ``repro-bench-v1``,
+enforced by :func:`repro.bench.harness.validate_report`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,17 @@ from repro.bench.scalar_ref import (
     ScalarOccupancyMap,
     scalar_aad_errors,
     scalar_gad_scores,
+    scalar_plan,
     scalar_point_cloud,
+    scalar_ray_cast,
     scalar_sign_exponent,
 )
-from repro.bench.workloads import HotpathWorkload, build_workload
+from repro.bench.workloads import (
+    HotpathWorkload,
+    ReferenceCorpus,
+    build_workload,
+    record_corpus,
+)
 from repro.core import knobs
 from repro.detection.preprocess import sign_exponent_transform
 from repro.perception.collision_check import CollisionChecker
@@ -158,6 +166,44 @@ def _bench_preprocess(workload: HotpathWorkload, repeats: int) -> Dict:
     )
 
 
+def _bench_motion_planning(corpus: ReferenceCorpus, repeats: int) -> Dict:
+    """Recorded planning queries: batched validity queries vs one query per check."""
+    cases = [(case.planner(), case.problem) for case in corpus.plans]
+
+    def run_vector() -> None:
+        for planner, problem in cases:
+            planner.plan(problem)
+
+    def run_scalar() -> None:
+        for planner, problem in cases:
+            scalar_plan(planner, problem)
+
+    calls = len(cases)
+    return kernel_entry(
+        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
+        time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
+    )
+
+
+def _bench_depth_raycast(corpus: ReferenceCorpus, repeats: int) -> Dict:
+    """Recorded depth-camera ray casts: per-axis slab planes vs one 3-wide broadcast."""
+    cases = corpus.ray_casts
+
+    def run_vector() -> None:
+        for case in cases:
+            case.world.ray_cast(case.origin, case.directions, case.max_range)
+
+    def run_scalar() -> None:
+        for case in cases:
+            scalar_ray_cast(case.world, case.origin, case.directions, case.max_range)
+
+    calls = len(cases)
+    return kernel_entry(
+        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
+        time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
+    )
+
+
 def _profile_pipeline(smoke: bool) -> Dict:
     """Fly one real closed-loop mission with the kernel profiler active."""
     from repro.pipeline.builder import PipelineConfig, build_pipeline
@@ -193,6 +239,8 @@ def run_bench(
     if repeats is None:
         repeats = 3 if smoke else 7
     workload = build_workload(smoke=smoke, seed=seed)
+    corpus = record_corpus(missions=1 if smoke else 2)
+    workload.description["reference_corpus"] = corpus.description
     kernels = {
         "occupancy_integration": _bench_occupancy(workload, repeats),
         "point_cloud_generation": _bench_point_cloud(workload, repeats),
@@ -200,6 +248,8 @@ def run_bench(
         "detector_gad_window": _bench_gad(workload, repeats),
         "detector_aad_window": _bench_aad(workload, repeats),
         "preprocess_transform": _bench_preprocess(workload, repeats),
+        "motion_planning": _bench_motion_planning(corpus, repeats),
+        "depth_raycast": _bench_depth_raycast(corpus, repeats),
     }
     report = {
         "schema": BENCH_SCHEMA,

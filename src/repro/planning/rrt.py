@@ -5,15 +5,51 @@ the paper evaluates RRT, RRTConnect and RRT* (Fig. 3).  These planners operate
 on the occupancy map snapshot: a state is valid when it keeps a clearance
 distance from every occupied voxel centre, and an edge is valid when all its
 samples are valid.  The implementations are deterministic given the seed.
+
+Validity checks are the planners' cost.  Extending the tree answers "is the
+new state valid and is the edge to it valid" with one kd-tree query, and RRT*
+validates all its choose-parent candidates, then all its rewire candidates,
+with one batched query each before replaying its sequential accept loop over
+the verdicts.  Every float is computed with the same operations as the
+one-check-at-a-time formulation (``repro.bench.scalar_ref`` keeps it), so
+plans are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+#: Spacing (m) of the collision samples along an edge.
+EDGE_STEP = 0.5
+
+
+def _norm(vector: np.ndarray) -> float:
+    """Euclidean norm of one vector: ``sqrt(v . v)``, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(vector.dot(vector))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norms, as ``np.linalg.norm(rows, axis=1)`` computes them."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
+def _sample_count(length: float, step: float) -> int:
+    """Samples on a segment of ``length``: at most ``step`` apart, both ends included."""
+    return max(2, math.ceil(length / step) + 1)
+
+
+@lru_cache(maxsize=256)
+def _fractions(n_samples: int) -> np.ndarray:
+    """``np.linspace(0, 1, n_samples)`` as a read-only column."""
+    ts = np.linspace(0.0, 1.0, n_samples)[:, None]
+    ts.flags.writeable = False
+    return ts
 
 
 @dataclass
@@ -43,41 +79,90 @@ class PlanningProblem:
             self._tree: Optional[cKDTree] = cKDTree(self.occupied_centers)
         else:
             self._tree = None
+        self._lo = np.asarray(self.bounds_lo, dtype=float)
+        self._hi = np.asarray(self.bounds_hi, dtype=float)
 
     # ---------------------------------------------------------------- queries
+    def _out_of_bounds(self, points: np.ndarray) -> bool:
+        return bool((points < self._lo).any() or (points > self._hi).any())
+
+    def _clear(self, samples: np.ndarray, dists: np.ndarray) -> np.ndarray:
+        """Per sample: clear of the occupied voxels, or inside the start's escape ball."""
+        clear = dists > self.clearance
+        if not clear.all():
+            clear |= _row_norms(samples - self.start) < self.start_escape_radius
+        return clear
+
     def state_valid(self, point: np.ndarray) -> bool:
         """Whether ``point`` is inside bounds and clear of occupied voxels."""
         p = np.asarray(point, dtype=float)
-        lo = np.asarray(self.bounds_lo, dtype=float)
-        hi = np.asarray(self.bounds_hi, dtype=float)
-        if np.any(p < lo) or np.any(p > hi):
+        if self._out_of_bounds(p):
             return False
         if self._tree is None:
             return True
-        if np.linalg.norm(p - self.start) < self.start_escape_radius:
+        if _norm(p - self.start) < self.start_escape_radius:
             return True
         dist, _ = self._tree.query(p)
         return bool(dist > self.clearance)
 
-    def edge_valid(self, a: np.ndarray, b: np.ndarray, step: float = 0.5) -> bool:
+    def edge_valid(self, a: np.ndarray, b: np.ndarray, step: float = EDGE_STEP) -> bool:
         """Whether the straight segment between ``a`` and ``b`` is collision-free."""
         a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        length = float(np.linalg.norm(b - a))
-        n_samples = max(2, int(np.ceil(length / step)) + 1)
-        ts = np.linspace(0.0, 1.0, n_samples)
-        samples = a[None, :] + ts[:, None] * (b - a)[None, :]
-        lo = np.asarray(self.bounds_lo, dtype=float)
-        hi = np.asarray(self.bounds_hi, dtype=float)
-        if np.any(samples < lo[None, :]) or np.any(samples > hi[None, :]):
+        delta = np.asarray(b, dtype=float) - a
+        samples = _fractions(_sample_count(_norm(delta), step)) * delta + a
+        if self._out_of_bounds(samples):
             return False
         if self._tree is None:
             return True
         dists, _ = self._tree.query(samples)
-        near_start = (
-            np.linalg.norm(samples - self.start[None, :], axis=1) < self.start_escape_radius
-        )
-        return bool(np.all((dists > self.clearance) | near_start))
+        return bool(self._clear(samples, dists).all())
+
+    def extend_valid(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """``state_valid(b) and edge_valid(a, b)``, with one kd-tree query.
+
+        ``b`` must be a point steered from ``a``, so that a NaN segment length
+        means a NaN ``b``.  :meth:`state_valid` raises on that in the kd-tree
+        query, and so does this.
+        """
+        if self._tree is None:
+            return not self._out_of_bounds(b) and self.edge_valid(a, b)
+        delta = b - a
+        length = _norm(delta)
+        ts = _fractions(_sample_count(length, EDGE_STEP) if length == length else 2)
+        points = np.empty((len(ts) + 1, 3))
+        points[0] = b
+        samples = points[1:]
+        np.multiply(ts, delta, out=samples)
+        samples += a
+        if self._out_of_bounds(points):
+            return False
+        dists, _ = self._tree.query(points)
+        if not (dists[0] > self.clearance or _norm(b - self.start) < self.start_escape_radius):
+            return False
+        return bool(self._clear(samples, dists[1:]).all())
+
+    def edges_valid(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:meth:`edge_valid` of every edge ``a[i]``-``b[i]``, with one kd-tree query.
+
+        ``a`` and ``b`` are ``(E, 3)`` arrays, or one of them a single point
+        shared by every edge.  Returns ``E`` booleans.
+        """
+        delta = np.asarray(b, dtype=float) - a
+        lengths = np.sqrt(np.matmul(delta[:, None, :], delta[:, :, None]).ravel())
+        counts = np.maximum(np.ceil(lengths / EDGE_STEP).astype(np.intp) + 1, 2)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        edge = np.repeat(np.arange(len(counts)), counts)
+        # np.linspace(0, 1, n) of every edge: k * (1 / (n - 1)), ending at exactly 1.
+        ts = (np.arange(ends[-1]) - starts[edge]) * (1.0 / (counts - 1))[edge]
+        ts[ends - 1] = 1.0
+        samples = ts[:, None] * delta[edge]
+        samples += a[edge] if a.ndim == 2 else a
+        bad = (samples < self._lo).any(axis=1) | (samples > self._hi).any(axis=1)
+        if self._tree is not None:
+            dists, _ = self._tree.query(samples)
+            bad |= ~self._clear(samples, dists)
+        return ~np.logical_or.reduceat(bad, starts)
 
 
 @dataclass
@@ -100,7 +185,11 @@ class PlannerResult:
 
 
 class _TreePlannerBase:
-    """Common machinery for the single- and dual-tree planners."""
+    """Common machinery for the single- and dual-tree planners.
+
+    A tree is a preallocated ``(max_iterations + 1, 3)`` node buffer (one new
+    node per iteration at most) plus a parent list.
+    """
 
     name = "rrt"
 
@@ -119,29 +208,31 @@ class _TreePlannerBase:
         self.seed = int(seed)
 
     # ------------------------------------------------------------ primitives
+    def _new_tree(self, root: np.ndarray) -> np.ndarray:
+        nodes = np.empty((max(self.max_iterations, 0) + 1, 3))
+        nodes[0] = root
+        return nodes
+
     def _sample(
         self, rng: np.random.Generator, problem: PlanningProblem
     ) -> np.ndarray:
         if rng.uniform() < self.goal_bias:
             return problem.goal.copy()
-        lo = np.asarray(problem.bounds_lo, dtype=float)
-        hi = np.asarray(problem.bounds_hi, dtype=float)
-        return rng.uniform(lo, hi)
+        return rng.uniform(problem._lo, problem._hi)
 
     def _steer(self, from_point: np.ndarray, to_point: np.ndarray) -> np.ndarray:
         delta = to_point - from_point
-        dist = float(np.linalg.norm(delta))
+        dist = _norm(delta)
         if dist <= self.step_size:
             return to_point.copy()
         return from_point + delta * (self.step_size / dist)
 
     @staticmethod
     def _nearest(nodes: np.ndarray, point: np.ndarray) -> int:
-        dists = np.linalg.norm(nodes - point[None, :], axis=1)
-        return int(np.argmin(dists))
+        return int(_row_norms(nodes - point).argmin())
 
     @staticmethod
-    def _extract_path(nodes: List[np.ndarray], parents: List[int], leaf: int) -> List[np.ndarray]:
+    def _extract_path(nodes: np.ndarray, parents: List[int], leaf: int) -> List[np.ndarray]:
         path = []
         idx = leaf
         while idx != -1:
@@ -160,43 +251,38 @@ class RRTPlanner(_TreePlannerBase):
     name = "rrt"
 
     def plan(self, problem: PlanningProblem) -> PlannerResult:
-        """Grow a tree from the start until the goal region is reached."""
+        """Grow a tree from the start until the goal region is reached.
+
+        The start itself is not validated: the vehicle may legitimately be
+        closer to an obstacle than the planner clearance, and planning from
+        there is allowed as long as the rest of the path is clear.
+        """
         rng = np.random.default_rng(self.seed)
-        if not problem.state_valid(problem.start):
-            # The vehicle may legitimately be closer to an obstacle than the
-            # planner clearance; planning from an invalid start is allowed as
-            # long as the rest of the path is clear.
-            pass
-        nodes: List[np.ndarray] = [problem.start.copy()]
+        nodes = self._new_tree(problem.start)
         parents: List[int] = [-1]
-        node_array = np.array([problem.start])
         for iteration in range(1, self.max_iterations + 1):
             target = self._sample(rng, problem)
-            nearest_idx = self._nearest(node_array, target)
+            nearest_idx = self._nearest(nodes[: len(parents)], target)
             new_point = self._steer(nodes[nearest_idx], target)
-            if not problem.state_valid(new_point):
+            if not problem.extend_valid(nodes[nearest_idx], new_point):
                 continue
-            if not problem.edge_valid(nodes[nearest_idx], new_point):
-                continue
-            nodes.append(new_point)
+            nodes[len(parents)] = new_point
             parents.append(nearest_idx)
-            node_array = np.vstack([node_array, new_point[None, :]])
-            if np.linalg.norm(new_point - problem.goal) <= self.goal_tolerance:
+            if _norm(new_point - problem.goal) <= self.goal_tolerance:
                 if problem.edge_valid(new_point, problem.goal):
-                    nodes.append(problem.goal.copy())
-                    parents.append(len(nodes) - 2)
-                    path = self._extract_path(nodes, parents, len(nodes) - 1)
+                    path = self._extract_path(nodes, parents, len(parents) - 1)
+                    path.append(problem.goal.copy())
                     return PlannerResult(
                         success=True,
                         path=path,
                         iterations=iteration,
-                        tree_size=len(nodes),
+                        tree_size=len(parents) + 1,
                         planner_name=self.name,
                     )
         return PlannerResult(
             success=False,
             iterations=self.max_iterations,
-            tree_size=len(nodes),
+            tree_size=len(parents),
             planner_name=self.name,
         )
 
@@ -226,14 +312,15 @@ class RRTStarPlanner(_TreePlannerBase):
         Once the goal region has been reached, the planner keeps refining for
         ``goal_extra_iterations`` more samples (closing in on the shortest
         path) and then stops, rather than always exhausting the full budget.
+        ``iterations`` in the result counts the iterations actually run.
         """
         rng = np.random.default_rng(self.seed)
-        nodes: List[np.ndarray] = [problem.start.copy()]
+        nodes = self._new_tree(problem.start)
         parents: List[int] = [-1]
-        costs: List[float] = [0.0]
-        node_array = np.array([problem.start])
+        costs = np.zeros(len(nodes))
         goal_nodes: List[int] = []
         first_goal_iteration: Optional[int] = None
+        iterations = 0
 
         for iteration in range(1, self.max_iterations + 1):
             if (
@@ -241,39 +328,50 @@ class RRTStarPlanner(_TreePlannerBase):
                 and iteration - first_goal_iteration > self.goal_extra_iterations
             ):
                 break
+            iterations = iteration
             target = self._sample(rng, problem)
-            nearest_idx = self._nearest(node_array, target)
+            size = len(parents)
+            nearest_idx = self._nearest(nodes[:size], target)
             new_point = self._steer(nodes[nearest_idx], target)
-            if not problem.state_valid(new_point):
-                continue
-            if not problem.edge_valid(nodes[nearest_idx], new_point):
+            if not problem.extend_valid(nodes[nearest_idx], new_point):
                 continue
 
-            # Choose the lowest-cost parent within the rewire radius.
-            dists = np.linalg.norm(node_array - new_point[None, :], axis=1)
-            neighbor_idx = np.where(dists <= self.rewire_radius)[0]
+            # Choose the lowest-cost parent within the rewire radius.  Only
+            # neighbours cheaper than the nearest node can win, so only their
+            # edges are validated (one batched query); the sequential accept
+            # loop then runs over those verdicts in neighbour order.
+            dists = _row_norms(nodes[:size] - new_point)
+            neighbor_idx = np.flatnonzero(dists <= self.rewire_radius)
+            neighbor_costs = costs[neighbor_idx]
+            neighbor_dists = dists[neighbor_idx]
             best_parent = nearest_idx
-            best_cost = costs[nearest_idx] + float(dists[nearest_idx])
-            for idx in neighbor_idx:
-                candidate_cost = costs[idx] + float(dists[idx])
-                if candidate_cost < best_cost and problem.edge_valid(nodes[idx], new_point):
-                    best_parent = int(idx)
-                    best_cost = candidate_cost
+            best_cost = costs[nearest_idx] + dists[nearest_idx]
+            via = neighbor_costs + neighbor_dists
+            cheaper = via < best_cost
+            if cheaper.any():
+                candidates = neighbor_idx[cheaper]
+                valid = problem.edges_valid(nodes[candidates], new_point)
+                for idx, candidate_cost, ok in zip(candidates, via[cheaper], valid):
+                    if ok and candidate_cost < best_cost:
+                        best_parent = int(idx)
+                        best_cost = candidate_cost
 
-            nodes.append(new_point)
+            new_idx = size
+            nodes[new_idx] = new_point
             parents.append(best_parent)
-            costs.append(best_cost)
-            new_idx = len(nodes) - 1
-            node_array = np.vstack([node_array, new_point[None, :]])
+            costs[new_idx] = best_cost
 
             # Rewire neighbours through the new node when that is cheaper.
-            for idx in neighbor_idx:
-                rewired_cost = best_cost + float(dists[idx])
-                if rewired_cost < costs[idx] and problem.edge_valid(new_point, nodes[idx]):
+            rewired = best_cost + neighbor_dists
+            cheaper = rewired < neighbor_costs
+            if cheaper.any():
+                candidates = neighbor_idx[cheaper]
+                valid = problem.edges_valid(new_point, nodes[candidates])
+                for idx in candidates[valid]:
                     parents[idx] = new_idx
-                    costs[idx] = rewired_cost
+                costs[candidates[valid]] = rewired[cheaper][valid]
 
-            if np.linalg.norm(new_point - problem.goal) <= self.goal_tolerance:
+            if _norm(new_point - problem.goal) <= self.goal_tolerance:
                 goal_nodes.append(new_idx)
                 if first_goal_iteration is None:
                     first_goal_iteration = iteration
@@ -285,14 +383,14 @@ class RRTStarPlanner(_TreePlannerBase):
             return PlannerResult(
                 success=True,
                 path=path,
-                iterations=self.max_iterations,
-                tree_size=len(nodes),
+                iterations=iterations,
+                tree_size=len(parents),
                 planner_name=self.name,
             )
         return PlannerResult(
             success=False,
-            iterations=self.max_iterations,
-            tree_size=len(nodes),
+            iterations=iterations,
+            tree_size=len(parents),
             planner_name=self.name,
         )
 
@@ -305,37 +403,26 @@ class RRTConnectPlanner(_TreePlannerBase):
     def plan(self, problem: PlanningProblem) -> PlannerResult:
         """Alternate extending a start tree and a goal tree until they connect."""
         rng = np.random.default_rng(self.seed)
-        trees = [
-            {"nodes": [problem.start.copy()], "parents": [-1]},
-            {"nodes": [problem.goal.copy()], "parents": [-1]},
-        ]
+        trees = [self._new_tree(problem.start), self._new_tree(problem.goal)]
+        tree_parents: List[List[int]] = [[-1], [-1]]
         for iteration in range(1, self.max_iterations + 1):
             active, other = trees[iteration % 2], trees[(iteration + 1) % 2]
+            parents, other_parents = tree_parents[iteration % 2], tree_parents[(iteration + 1) % 2]
             target = self._sample(rng, problem)
-            active_array = np.asarray(active["nodes"])
-            nearest_idx = self._nearest(active_array, target)
-            new_point = self._steer(active["nodes"][nearest_idx], target)
-            if not problem.state_valid(new_point):
+            nearest_idx = self._nearest(active[: len(parents)], target)
+            new_point = self._steer(active[nearest_idx], target)
+            if not problem.extend_valid(active[nearest_idx], new_point):
                 continue
-            if not problem.edge_valid(active["nodes"][nearest_idx], new_point):
-                continue
-            active["nodes"].append(new_point)
-            active["parents"].append(nearest_idx)
+            active[len(parents)] = new_point
+            parents.append(nearest_idx)
 
             # Try to connect the other tree directly to the new point.
-            other_array = np.asarray(other["nodes"])
-            other_nearest = self._nearest(other_array, new_point)
-            if np.linalg.norm(
-                other["nodes"][other_nearest] - new_point
-            ) <= self.step_size * 1.5 and problem.edge_valid(
-                other["nodes"][other_nearest], new_point
-            ):
-                path_active = self._extract_path(
-                    active["nodes"], active["parents"], len(active["nodes"]) - 1
-                )
-                path_other = self._extract_path(
-                    other["nodes"], other["parents"], other_nearest
-                )
+            other_nearest = self._nearest(other[: len(other_parents)], new_point)
+            if _norm(
+                other[other_nearest] - new_point
+            ) <= self.step_size * 1.5 and problem.edge_valid(other[other_nearest], new_point):
+                path_active = self._extract_path(active, parents, len(parents) - 1)
+                path_other = self._extract_path(other, other_parents, other_nearest)
                 if iteration % 2 == 0:
                     # ``active`` is the start tree; ``other`` is the goal tree.
                     path = path_active + list(reversed(path_other))
@@ -346,13 +433,13 @@ class RRTConnectPlanner(_TreePlannerBase):
                     success=True,
                     path=path,
                     iterations=iteration,
-                    tree_size=len(trees[0]["nodes"]) + len(trees[1]["nodes"]),
+                    tree_size=len(tree_parents[0]) + len(tree_parents[1]),
                     planner_name=self.name,
                 )
         return PlannerResult(
             success=False,
             iterations=self.max_iterations,
-            tree_size=len(trees[0]["nodes"]) + len(trees[1]["nodes"]),
+            tree_size=len(tree_parents[0]) + len(tree_parents[1]),
             planner_name=self.name,
         )
 

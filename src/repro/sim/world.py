@@ -192,34 +192,42 @@ class World:
 
         Returns an array of ``N`` hit distances; rays that hit nothing within
         ``max_range`` get ``inf``.  Uses the slab method vectorised over both
-        rays and obstacles.  The ground plane at ``z = bounds_lo[2]`` is also
-        intersected so that the depth camera sees the floor.
+        rays and obstacles, one axis at a time: each axis gives an
+        ``(n_boxes, n_rays)`` plane of slab entry and exit distances, folded
+        into the running entry maximum and exit minimum.  The ground plane at
+        ``z = bounds_lo[2]`` is also intersected so that the depth camera sees
+        the floor.
         """
         origin = np.asarray(origin, dtype=float)
         directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != 3:
             raise ValueError(f"directions must have shape (N, 3), got {directions.shape}")
-        n_rays = directions.shape[0]
-        hits = np.full(n_rays, np.inf)
+        hits = np.full(directions.shape[0], np.inf)
 
         if self.num_obstacles > 0:
-            # Slab test, broadcast to (n_rays, n_boxes, 3).
+            # Slab test one axis at a time on (n_boxes, n_rays) planes.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 inv_d = 1.0 / directions  # inf where direction component is 0
-            with np.errstate(invalid="ignore", over="ignore"):
-                t1 = (self._lo[None, :, :] - origin[None, None, :]) * inv_d[:, None, :]
-                t2 = (self._hi[None, :, :] - origin[None, None, :]) * inv_d[:, None, :]
-            tmin = np.minimum(t1, t2)
-            tmax = np.maximum(t1, t2)
-            # A zero direction component against a slab not containing the
-            # origin yields (inf, -inf) or (nan); treat nan as no constraint.
-            tmin = np.where(np.isnan(tmin), -np.inf, tmin)
-            tmax = np.where(np.isnan(tmax), np.inf, tmax)
-            t_enter = tmin.max(axis=2)
-            t_exit = tmax.min(axis=2)
-            valid = (t_exit >= np.maximum(t_enter, 0.0)) & (t_enter <= max_range)
-            t_enter = np.where(valid, np.maximum(t_enter, 0.0), np.inf)
-            hits = t_enter.min(axis=1)
+                for axis in range(3):
+                    t1 = (self._lo[:, axis] - origin[axis])[:, None] * inv_d[:, axis]
+                    t2 = (self._hi[:, axis] - origin[axis])[:, None] * inv_d[:, axis]
+                    near = np.minimum(t1, t2)
+                    far = np.maximum(t1, t2, out=t2)
+                    # A zero direction component against a slab not containing
+                    # the origin yields (inf, -inf) or (nan); treat nan as no
+                    # constraint.
+                    near[np.isnan(near)] = -np.inf
+                    far[np.isnan(far)] = np.inf
+                    if axis == 0:
+                        t_enter, t_exit = near, far
+                    else:
+                        np.maximum(t_enter, near, out=t_enter)
+                        np.minimum(t_exit, far, out=t_exit)
+            missed = t_enter > max_range
+            np.maximum(t_enter, 0.0, out=t_enter)
+            missed |= t_exit < t_enter
+            t_enter[missed] = np.inf
+            hits = t_enter.min(axis=0)
 
         # Ground plane.
         ground_z = self.bounds_lo[2]

@@ -125,7 +125,22 @@ class TestPlannerSpecifics:
         planner = RRTStarPlanner(max_iterations=2000, goal_extra_iterations=50, seed=1)
         result = planner.plan(_free_problem())
         assert result.success
-        assert result.iterations <= 2000
+        # ``iterations`` counts the iterations actually run: the refinement
+        # budget after the first goal hit ended the search long before 2000.
+        assert planner.goal_extra_iterations < result.iterations < 2000
+        assert result.tree_size <= result.iterations + 1
+
+    def test_rrt_star_reports_full_budget_when_goal_unreached(self):
+        # The goal sits on an occupied voxel, so no state near it is valid.
+        block = [[x, y, z] for x in (39.0, 40.0, 41.0) for y in (-1.0, 0.0, 1.0) for z in (1.0, 2.0, 3.0)]
+        problem = PlanningProblem(
+            start=np.array([0.0, 0.0, 2.0]),
+            goal=np.array([40.0, 0.0, 2.0]),
+            occupied_centers=np.array(block),
+        )
+        result = RRTStarPlanner(max_iterations=120, seed=0).plan(problem)
+        assert not result.success
+        assert result.iterations == 120
 
     def test_rrt_connect_uses_two_trees(self):
         planner = RRTConnectPlanner(seed=1, max_iterations=400)
