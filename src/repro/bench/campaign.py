@@ -8,7 +8,8 @@ execution engine in several modes:
 * ``serial_scratch`` -- the PR 3 baseline: serial executor, construction
   caches and golden-prefix checkpointing disabled (every run rebuilds its
   world and re-flies its prefix);
-* ``serial_cached`` -- construction caches only;
+* ``serial_cached`` -- construction caches only (worlds, detector forks and
+  the motion-plan memo);
 * ``serial_checkpointed`` -- caches plus golden-prefix checkpoint forks (the
   headline serial comparison);
 * ``parallel_checkpointed`` -- the full shipped engine (caches, checkpoints,
@@ -27,7 +28,7 @@ bit-identical against the baseline's (the hard correctness gate: a faster
 engine that changes a single bit of a mission record fails the bench), every
 scaling point must report **zero duplicate cursor builds** (the
 prefix-affinity scheduling invariant), and the report records the
-construction-cache and checkpoint statistics (hit rates, prefix seconds
+world-cache, plan-memo and checkpoint statistics (hit rates, prefix seconds
 saved) alongside the throughputs.  The schema-validated artifact is
 ``BENCH_campaign.json``.
 """
@@ -55,6 +56,7 @@ from repro.core.executor import (
 )
 from repro.core.results import mission_results_equal
 from repro.pipeline import builder
+from repro.planning.memo import plan_memo_stats
 
 #: Schema identifier written into every new campaign report.
 CAMPAIGN_BENCH_SCHEMA = "repro-campaign-bench-v2"
@@ -254,6 +256,7 @@ def run_campaign_bench(
     baseline_results: Optional[List] = None
     bit_identical = True
     cache_stats: Dict[str, int] = {}
+    memo_stats: Dict[str, int] = {}
     checkpoint_stats: Dict[str, float] = {}
 
     def check_identical(label: str, results: List) -> None:
@@ -279,6 +282,7 @@ def run_campaign_bench(
             if name == "serial_checkpointed":
                 # Captured before the next mode resets the per-process caches.
                 cache_stats = builder.world_cache_stats()
+                memo_stats = plan_memo_stats()
                 checkpoint_stats = checkpoint.checkpoint_stats().as_dict()
             if round_index > 0:
                 continue
@@ -389,6 +393,7 @@ def run_campaign_bench(
             ],
         },
         "cache": cache_stats,
+        "plan_memo": memo_stats,
         "checkpoint": checkpoint_stats,
         "bit_identical": bit_identical,
     }
@@ -471,6 +476,12 @@ def format_campaign_table(report: Dict) -> str:
         f"{ckpt.get('golden_served', 0)}, cursor restarts: "
         f"{ckpt.get('cursor_restarts', 0)})"
     )
+    memo = report.get("plan_memo")
+    if memo:
+        table += (
+            f"\nplan memo (serial checkpointed): {memo.get('hits', 0)} hits, "
+            f"{memo.get('misses', 0)} misses"
+        )
     return table
 
 
@@ -628,6 +639,9 @@ def validate_campaign_report(report: Dict) -> None:
     for section in ("checkpoint", "cache", "workload", "host"):
         if not isinstance(report.get(section), dict):
             raise ValueError(f"campaign bench report must contain a {section!r} object")
+    # Optional: reports written before the plan memo existed lack it.
+    if not isinstance(report.get("plan_memo", {}), dict):
+        raise ValueError("campaign bench report's 'plan_memo' must be an object")
 
 
 def validate_campaign_report_file(path: Union[str, Path]) -> Dict:

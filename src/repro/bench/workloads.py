@@ -351,15 +351,17 @@ def record_corpus(missions: int = 1) -> ReferenceCorpus:
 
     ``missions`` seeded golden missions (seeds ``0..missions-1``) of at most
     :data:`CORPUS_MISSION_TIME_LIMIT` simulated seconds fly in each of
-    :data:`CORPUS_ENVIRONMENTS`.
+    :data:`CORPUS_ENVIRONMENTS`.  They fly with the construction caches off,
+    so the plan memo cannot serve a query an earlier flight already posed.
     """
+    from repro.core import knobs
     from repro.pipeline.builder import PipelineConfig, build_pipeline
     from repro.pipeline.runner import MissionRunner
 
     plans: List[PlanningCase] = []
     casts: List[RayCastCase] = []
     source = [""]
-    with _recording(source, plans, casts):
+    with knobs.temporary({"REPRO_NO_CACHE": "1"}), _recording(source, plans, casts):
         for environment in CORPUS_ENVIRONMENTS:
             for seed in range(missions):
                 source[0] = f"{environment}:{seed}"

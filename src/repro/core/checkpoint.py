@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.core.injector import FaultInjectorNode
 from repro.pipeline.builder import build_pipeline, env_flag
 from repro.pipeline.runner import DEFAULT_ABORT_GRACE, MissionRunner
+from repro.planning.memo import reset_plan_memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import RunSpec
@@ -496,5 +497,6 @@ def checkpoint_stats() -> CheckpointStats:
 
 
 def reset_checkpoint_caches() -> None:
-    """Drop all cursors and zero the statistics (tests, benchmarks)."""
+    """Drop all cursors and stored plans, and zero the statistics (tests, benchmarks)."""
     _MANAGER.reset()
+    reset_plan_memo()

@@ -176,8 +176,9 @@ NO_CACHE = _register(Knob(
     kind="flag",
     description=(
         "Disable the per-process construction caches (worlds in "
-        "pipeline.builder, detector forks in core.executor); every run then "
-        "rebuilds its world and deep-copies its detector from scratch."
+        "pipeline.builder, detector forks in core.executor, the motion-plan "
+        "memo in planning.memo); every run then rebuilds its world, "
+        "deep-copies its detector and runs every planning query from scratch."
     ),
     default="caches enabled",
     parse=_parse_flag,

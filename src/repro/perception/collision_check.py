@@ -114,9 +114,13 @@ class CollisionChecker:
             return False
         points = np.array([[w.x, w.y, w.z] for w in waypoints], dtype=float)
         # Only check the part of the trajectory still ahead of the vehicle.
+        # Corrupted (non-finite) way-points are never the nearest one and are
+        # left out of the kd-tree query, which raises on non-finite points.
+        finite = np.all(np.isfinite(points), axis=1)
         dists_to_vehicle = np.linalg.norm(points - np.asarray(from_position)[None, :], axis=1)
+        dists_to_vehicle[~finite] = np.inf
         start_idx = int(np.argmin(dists_to_vehicle))
-        ahead = points[start_idx:]
+        ahead = points[start_idx:][finite[start_idx:]]
         if ahead.size == 0:
             return False
         hit_dists, _ = self._tree.query(ahead)

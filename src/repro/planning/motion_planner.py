@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import topics
 from repro.pipeline.kernel import KernelNode
+from repro.planning.memo import memoized_plan
 from repro.planning.rrt import PlanningProblem, make_planner
 from repro.planning.smoothing import PathSmoother, SmootherConfig
 from repro.rosmw.message import (
@@ -235,7 +236,7 @@ class MotionPlannerNode(KernelNode):
             max_iterations=self.config.max_iterations,
             step_size=self.config.step_size,
         )
-        result = planner.plan(problem)
+        result = memoized_plan(planner, problem)
         if not result.success:
             return None
         self._last_plan_seed = seed

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import knobs
+from repro.core import checkpoint, knobs
 from repro.detection.autoencoder import AadDetector, AutoencoderConfig
 from repro.detection.gaussian import GadConfig, GaussianDetector
 from repro.pipeline.builder import PipelineConfig, build_pipeline
@@ -22,6 +22,17 @@ def pytest_configure(config):
     # Lift the clamp for the suite so the tests exercise real worker pools;
     # individual tests opt back in via ParallelExecutor(oversubscribe=False).
     knobs.setdefault_env("MAVFI_OVERSUBSCRIBE", "1")
+
+
+@pytest.fixture(autouse=True)
+def cold_engine_caches():
+    """Start every test without checkpoint cursors or stored plans.
+
+    The plan memo and the cursors outlive a test; without this reset, what a
+    test observes (plan calls, forks, cache hits) would depend on which tests
+    ran before it.
+    """
+    checkpoint.reset_checkpoint_caches()
 
 
 @pytest.fixture

@@ -40,6 +40,7 @@ from repro.core.results import (
 from repro.pipeline import builder
 from repro.pipeline.builder import PipelineConfig, build_pipeline
 from repro.pipeline.runner import MissionRunner
+from repro.planning.memo import plan_memo_stats
 
 
 @pytest.fixture(autouse=True)
@@ -466,6 +467,9 @@ class TestEndToEndEquivalence:
         builder.reset_world_cache()
         cached = Campaign(config).full_evaluation(executor=SerialExecutor())
         assert checkpoint.checkpoint_stats().forks > 0
+        # The scratch run above flew with the plan memo off, so the byte
+        # comparison below also covers plans served from the memo.
+        assert plan_memo_stats()["hits"] > 0
 
         parallel_runs = {}
         for workers in (1, 2, 4):

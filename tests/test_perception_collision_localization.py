@@ -81,6 +81,35 @@ class TestCollisionChecker:
         checker.reset()
         assert np.isinf(checker.distance_to_nearest(np.zeros(3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_waypoint_is_skipped(self, bad):
+        checker = CollisionChecker()
+        checker.update_map(_wall_centers(x=10.0), resolution=1.0)
+        position = np.array([0.0, 0.0, 2.0])
+        velocity = np.array([1.0, 0.0, 0.0])
+        clear = [Waypoint(x=bad, y=0.0, z=2.0), Waypoint(x=0.0, y=10.0, z=2.0)]
+        assert checker.compute(position, velocity, clear).future_collision_seq == 0
+        # The non-finite row sits between the nearest way-point and one in
+        # the wall: it must neither become the nearest nor hide the wall.
+        blocked = [
+            Waypoint(x=0.0, y=0.0, z=2.0),
+            Waypoint(x=10.0, y=0.0, z=2.0),
+            Waypoint(x=bad, y=0.0, z=2.0),
+            Waypoint(x=20.0, y=10.0, z=2.0),
+        ]
+        assert checker.trajectory_collides(blocked, position)
+
+    def test_all_non_finite_waypoints_never_collide(self):
+        checker = CollisionChecker()
+        checker.update_map(_wall_centers(x=10.0), resolution=1.0)
+        waypoints = [
+            Waypoint(x=np.nan, y=0.0, z=2.0),
+            Waypoint(x=10.0, y=np.inf, z=2.0),
+            Waypoint(x=10.0, y=0.0, z=-np.inf),
+        ]
+        msg = checker.compute(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0, 0]), waypoints)
+        assert msg.future_collision_seq == 0
+
 
 class TestCollisionCheckNode:
     def test_node_publishes_after_receiving_inputs(self):
@@ -131,6 +160,29 @@ class TestCollisionCheckNode:
         graph.spin_until(1.0)
         msg = graph.topic_bus.last_message(topics.COLLISION_CHECK)
         assert msg.future_collision_seq >= 1
+
+    def test_node_survives_a_corrupted_trajectory(self):
+        graph = NodeGraph()
+        node = CollisionCheckNode(check_rate=4.0)
+        graph.add_node(node)
+        graph.start_all()
+        graph.topic_bus.publish(
+            topics.OCCUPANCY_MAP,
+            OccupancyMapMsg(resolution=1.0, occupied_centers=_wall_centers(x=12.0)),
+        )
+        graph.topic_bus.publish(
+            topics.ODOMETRY,
+            OdometryMsg(position=np.array([0.0, 0.0, 2.0]), velocity=np.array([0.5, 0, 0])),
+        )
+        waypoints = [Waypoint(x=float(x), y=0.0, z=2.0) for x in range(0, 20, 2)]
+        waypoints[3].x = float("nan")
+        waypoints[4].y = float("inf")
+        graph.topic_bus.publish(topics.TRAJECTORY, MultiDOFTrajectoryMsg(waypoints=waypoints))
+        graph.spin_until(1.0)
+        msg = graph.topic_bus.last_message(topics.COLLISION_CHECK)
+        assert msg is not None
+        assert msg.future_collision_seq == 1
+        assert node.recompute()
 
     def test_reset_kernel_clears_state(self):
         graph = NodeGraph()
