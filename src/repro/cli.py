@@ -44,6 +44,7 @@ from repro.core.executor import (
     get_executor,
 )
 from repro.core.qof import summarize_runs
+from repro.core.resilience import ResiliencePolicy
 from repro.core.results import JsonlResultStore
 from repro.scenarios import get_scenario, iter_scenarios
 from repro.sim.environments import EXTENDED_ENVIRONMENT_NAMES
@@ -159,10 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "resilience",
         description=(
             "Failure capture, bounded retry, wall-clock watchdog and "
-            "quarantine (on by default).  Harness failures become structured "
-            "records in the JSONL store instead of crashing the campaign; "
-            "retried specs are bit-identical to an unfailed run.  Flags "
-            "override the REPRO_MAX_ATTEMPTS / REPRO_TASK_TIMEOUT / "
+            "quarantine.  Harness failures become structured records in the "
+            "JSONL store instead of crashing the campaign; retried specs are "
+            "bit-identical to an unfailed run.  Flags override the "
+            "REPRO_MAX_ATTEMPTS / REPRO_TASK_TIMEOUT / "
             "REPRO_QUARANTINE_STRIKES / REPRO_POOL_RESPAWNS knobs."
         ),
     )
@@ -170,7 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-attempts",
         type=int,
         default=None,
-        help="attempts per spec before it is recorded as failed (default 3)",
+        help=(
+            "attempts per spec before it is recorded as failed "
+            f"(default {ResiliencePolicy.max_attempts})"
+        ),
     )
     resilience.add_argument(
         "--task-timeout",
@@ -182,12 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quarantine-strikes",
         type=int,
         default=None,
-        help="hang/timeout strikes before a spec is quarantined (default 2)",
-    )
-    resilience.add_argument(
-        "--no-resilience",
-        action="store_true",
-        help="legacy behaviour: first harness failure crashes the campaign",
+        help=(
+            "hang/timeout strikes before a spec is quarantined "
+            f"(default {ResiliencePolicy.quarantine_strikes})"
+        ),
     )
     adaptive = campaign.add_argument_group(
         "adaptive search",
@@ -720,34 +722,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     executor = get_executor(args.workers)
     store = JsonlResultStore(args.out) if args.out is not None else None
 
-    policy = None
+    # The resilience flags are named after the policy fields they override.
+    overrides = {
+        name: getattr(args, name)
+        for name in ("max_attempts", "task_timeout", "quarantine_strikes")
+        if getattr(args, name) is not None
+    }
+    policy = replace(ResiliencePolicy.from_knobs(), **overrides)
     failures: List = []
-    if not args.no_resilience:
-        from repro.core.resilience import ResiliencePolicy
-
-        base = ResiliencePolicy.from_knobs()
-        policy = ResiliencePolicy(
-            max_attempts=(
-                args.max_attempts if args.max_attempts is not None else base.max_attempts
-            ),
-            task_timeout=(
-                args.task_timeout if args.task_timeout is not None else base.task_timeout
-            ),
-            quarantine_strikes=(
-                args.quarantine_strikes
-                if args.quarantine_strikes is not None
-                else base.quarantine_strikes
-            ),
-            max_pool_respawns=base.max_pool_respawns,
-        )
-    elif any(
-        value is not None
-        for value in (args.max_attempts, args.task_timeout, args.quarantine_strikes)
-    ):
-        raise ValueError(
-            "--max-attempts/--task-timeout/--quarantine-strikes configure the "
-            "resilience engine; drop --no-resilience to use them"
-        )
 
     already = 0
     if store is not None and not args.no_resume:

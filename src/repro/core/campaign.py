@@ -31,6 +31,7 @@ from repro.core.executor import (
 from repro.core.fault import BitField
 from repro.core.injector import FaultPlan
 from repro.core.qof import QofSummary, summarize_runs
+from repro.core.resilience import PASS_THROUGH, ResiliencePolicy
 from repro.core.results import JsonlResultStore
 from repro.detection.training import train_detectors
 from repro.scenarios import Scenario, resolve_scenario
@@ -285,16 +286,17 @@ class Campaign:
         resume: bool = True,
         extra_detectors: Optional[Mapping[str, object]] = None,
         on_result=None,
-        policy=None,
+        policy: ResiliencePolicy = PASS_THROUGH,
         on_failure=None,
     ) -> List[RunRecord]:
         """Dispatch a batch of run specs through the execution engine.
 
         ``executor`` defaults to a :class:`SerialExecutor`; pass a
-        :class:`~repro.core.executor.ParallelExecutor` (or anything honouring
-        the executor protocol) to fan the batch out.  With a ``store``,
-        results stream to JSONL as they complete and already-completed specs
-        are skipped (resume).
+        :class:`~repro.core.executor.ParallelExecutor` (or any executor
+        whose ``map`` takes ``on_result``, ``detectors``, ``policy`` and
+        ``on_failure``) to fan the batch out.  With a ``store``, results
+        stream to JSONL as they complete and already-completed specs are
+        skipped (resume).
 
         Distributed executors reconstruct ``gaussian``/``autoencoder``
         detectors from this campaign's configuration instead of shipping the
@@ -303,10 +305,12 @@ class Campaign:
         ``detector_cache_dir`` to pin them raises, because the workers'
         reconstruction could silently diverge from the serial result.
 
-        A ``policy`` (:class:`~repro.core.resilience.ResiliencePolicy`)
-        enables failure capture/retry/quarantine; failed or quarantined
-        specs come back as ``None`` entries and their failure records land
-        in the store and the ``on_failure`` callback.
+        ``policy`` defaults to the pass-through policy: the first mission
+        exception propagates.  A capturing one (e.g.
+        ``ResiliencePolicy.from_knobs()``) enables failure
+        capture/retry/quarantine; failed or quarantined specs come back as
+        ``None`` entries and their failure records land in the store and the
+        ``on_failure`` callback.
         """
         specs = list(specs)
         if executor is None:

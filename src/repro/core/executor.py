@@ -12,15 +12,19 @@ that specs can cross process boundaries).  Executors turn lists of specs into
   default and the reference for determinism.
 * :class:`ParallelExecutor` -- fans specs out over a
   :class:`~concurrent.futures.ProcessPoolExecutor`; worker count comes from
-  the ``MAVFI_WORKERS`` environment variable (or the constructor), specs are
-  submitted in chunks, and detectors are reconstructed once per worker process
-  from the spec's campaign configuration, so nothing unpicklable is ever
-  shipped to a worker.
+  the ``MAVFI_WORKERS`` environment variable (or the constructor), each pool
+  task is one whole prefix group, and detectors are reconstructed once per
+  worker process from the spec's campaign configuration, so nothing
+  unpicklable is ever shipped to a worker.
 
 Because every mission is fully seeded, the two executors produce bit-identical
 result streams for the same spec list; :func:`execute_specs` additionally
 persists results to a JSONL store as they arrive and skips specs whose
 deterministic key is already present (resume-from-partial-campaign).
+
+Every dispatch runs under a :class:`~repro.core.resilience.ResiliencePolicy`
+value: the default, ``PASS_THROUGH``, re-raises the first failure; a capturing
+policy turns failures into records, retries them and heals the pool.
 """
 
 from __future__ import annotations
@@ -30,12 +34,7 @@ import hashlib
 import multiprocessing
 import os
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import (
@@ -58,6 +57,7 @@ from repro.core.injector import FaultInjectorNode, FaultPlan
 from repro.core.resilience import (
     OUTCOME_QUARANTINED,
     OUTCOME_RETRIED,
+    PASS_THROUGH,
     ChaosSchedule,
     FailureCallback,
     FailureRecord,
@@ -65,7 +65,6 @@ from repro.core.resilience import (
     attribute_lost_task,
     guarded_execute,
     hang_failure,
-    run_spec_resilient,
 )
 from repro.pipeline.builder import (
     PipelineConfig,
@@ -77,6 +76,7 @@ from repro.scenarios import Scenario, resolve_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.campaign import CampaignConfig
+    from repro.core.checkpoint import CheckpointStats
     from repro.core.results import JsonlResultStore
 
 #: Detector tags a :class:`RunSpec` may carry.  ``gaussian`` and
@@ -140,8 +140,8 @@ class RunSpec:
         their fault-activation times: same pipeline, seed, scenario, detector
         and timing -- only the fault plan (and the setting label) may differ.
         The golden-prefix checkpoint engine keys its cursors on this, and the
-        execution engine groups spec batches by it so workers receive
-        cache-friendly chunks.
+        execution engine groups spec batches by it so each pool task is one
+        whole prefix group.
         """
         return hashlib.sha1(
             repr(self.prefix_canonical()).encode("utf-8")
@@ -350,80 +350,99 @@ def execute_spec(
     return result
 
 
-#: One scheduled unit of parallel work: the (position, spec) pairs of one or
-#: more whole prefix groups, each optionally accompanied by a serialized
-#: golden-prefix cursor snapshot (spawn-platform warm-up; ``None`` on fork
-#: platforms, where cursors are inherited copy-on-write instead).
+#: One pool task: the (position, spec) pairs of one whole prefix group, with
+#: an optional serialized golden-prefix cursor snapshot (spawn-platform
+#: warm-up; ``None`` on fork platforms, where cursors are inherited
+#: copy-on-write instead).
 GroupTask = Tuple[Sequence[Tuple[int, "RunSpec"]], Optional[bytes]]
 
 
 def _execute_group_task(
-    groups: Sequence[GroupTask],
-) -> Tuple[List[Tuple[int, MissionResult]], Dict]:
-    """Worker entry point: run whole prefix groups, report the stats delta.
-
-    Returns the (position, result) pairs plus the checkpoint-statistics delta
-    this task produced, so the parent can aggregate fleet-wide counters --
-    in particular ``duplicate_cursor_builds``, the scheduler's zero-duplicates
-    invariant -- without double-counting fork-inherited state or earlier
-    tasks on the same worker process.
-    """
-    from repro.core import checkpoint
-
-    before = checkpoint.checkpoint_stats().raw_dict()
-    out: List[Tuple[int, MissionResult]] = []
-    for pairs, blob in groups:
-        if blob is not None and checkpoint.checkpointing_enabled():
-            checkpoint.manager().seed_snapshot(blob)
-        for pos, spec in pairs:
-            out.append((pos, execute_spec(spec)))
-    delta = checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)
-    return out, delta
-
-
-class _WatchdogTimeout(Exception):
-    """Internal: a pool task overran the resilience policy's wall-clock budget."""
-
-
-def _execute_group_task_resilient(
-    groups: Sequence[GroupTask],
+    task: GroupTask,
     policy: ResiliencePolicy,
     schedule: Optional[ChaosSchedule],
     bases: Dict[str, int],
 ) -> Tuple[List[Tuple[int, str, Optional[MissionResult]]], List[FailureRecord], Dict]:
-    """Worker entry point under a resilience policy.
+    """Worker entry point: run one prefix group, report the stats delta.
 
-    Like :func:`_execute_group_task`, but every spec goes through the
-    capture/retry ladder: the return carries ``(position, status, result)``
-    triples (status ``"ok"``/``"failed"``/``"hang"``) plus the failure
-    records the attempts produced.  Failure events ride back with the task
-    result rather than being persisted worker-side, so the parent remains
+    Every spec goes through :func:`~repro.core.resilience.guarded_execute`.
+    The return carries ``(position, status, result)`` triples (status
+    ``"ok"``/``"failed"``/``"hang"``), the failure records the attempts
+    produced, and this task's checkpoint-statistics delta, so the parent can
+    aggregate fleet-wide counters (``duplicate_cursor_builds`` above all)
+    without double-counting fork-inherited state or earlier tasks on the same
+    worker.  Failure events ride back with the result, so the parent stays
     the only writer; a task lost to a crash or watchdog kill loses them too,
     and the parent reconstructs them via
-    :func:`repro.core.resilience.attribute_lost_task`.  ``bases`` maps spec
-    keys to already-consumed attempt counts (requeues after a crash).
+    :func:`~repro.core.resilience.attribute_lost_task`.  ``bases`` maps spec
+    keys to already-consumed attempt counts (requeues after a crash).  Under
+    a pass-through policy the first mission exception propagates instead and
+    the parent re-raises it from the task's future.
     """
     from repro.core import checkpoint
 
     before = checkpoint.checkpoint_stats().raw_dict()
+    pairs, blob = task
+    if blob is not None and checkpoint.checkpointing_enabled():
+        checkpoint.manager().seed_snapshot(blob)
     entries: List[Tuple[int, str, Optional[MissionResult]]] = []
     events: List[FailureRecord] = []
-    for pairs, blob in groups:
-        if blob is not None and checkpoint.checkpointing_enabled():
-            checkpoint.manager().seed_snapshot(blob)
-        for pos, spec in pairs:
-            status, result, _ = guarded_execute(
-                spec,
-                None,
-                policy,
-                schedule,
-                bases.get(spec.key(), 0),
-                events.append,
-                in_worker=True,
-            )
-            entries.append((pos, status, result))
+    for pos, spec in pairs:
+        status, result, _ = guarded_execute(
+            spec,
+            None,
+            policy,
+            schedule,
+            bases.get(spec.key(), 0),
+            events.append,
+            in_worker=True,
+        )
+        entries.append((pos, status, result))
     delta = checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)
     return entries, events, delta
+
+
+class _WatchdogTimeout(TimeoutError):
+    """A pool task overran the resilience policy's wall-clock budget."""
+
+
+def _run_in_process(
+    work: Iterable[Tuple[int, RunSpec, int]],
+    results: List[Optional[MissionResult]],
+    detectors: Optional[Mapping[str, object]],
+    policy: ResiliencePolicy,
+    on_result: Optional[ResultCallback],
+    emit: Optional[FailureCallback],
+    strikes: Mapping[str, int],
+) -> None:
+    """The in-process loop: fly ``(position, spec, base attempt)`` items.
+
+    Shared by :class:`SerialExecutor`, the one-worker fallback and the pool's
+    degraded tail.  A spec the chaos schedule marks as hanging is never
+    flown: it walks the rest of its quarantine ladder at once, after the
+    strikes already in ``strikes`` -- the records the pool accumulates across
+    watchdog kills.  Surviving results land in ``results`` by position.
+    """
+    schedule = policy.chaos()
+    if emit is None:
+        emit = _drop_failure
+    for pos, spec, base in work:
+        if schedule is not None and schedule.hangs(spec.key()):
+            for strike in range(strikes.get(spec.key(), 0) + 1, policy.quarantine_strikes + 1):
+                final = strike == policy.quarantine_strikes
+                emit(hang_failure(
+                    spec, strike, OUTCOME_QUARANTINED if final else OUTCOME_RETRIED
+                ))
+            continue
+        _, result, _ = guarded_execute(spec, detectors, policy, schedule, base, emit)
+        if result is not None:
+            results[pos] = result
+            if on_result is not None:
+                on_result(spec, result)
+
+
+def _drop_failure(record: FailureRecord) -> None:
+    """Failure sink for callers that pass no ``on_failure``."""
 
 
 def _init_worker(payload: Optional[Dict]) -> None:
@@ -576,41 +595,31 @@ class SerialExecutor:
 
     name = "serial"
     distributed = False
-    supports_resilience = True
 
     def map(
         self,
         specs: Iterable[RunSpec],
         on_result: Optional[ResultCallback] = None,
         detectors: Optional[Mapping[str, object]] = None,
-        policy: Optional[ResiliencePolicy] = None,
+        policy: ResiliencePolicy = PASS_THROUGH,
         on_failure: Optional[FailureCallback] = None,
     ) -> List[Optional[MissionResult]]:
         """Execute ``specs`` in order; returns results in the same order.
 
-        Without a ``policy`` the historical contract holds: any mission
-        exception propagates and every returned entry is a result.  With one,
-        each spec goes through the capture/retry/quarantine ladder
+        Under the default pass-through ``policy`` any mission exception
+        propagates and every returned entry is a result.  Under a capturing
+        one, each spec goes through the capture/retry/quarantine ladder
         (:mod:`repro.core.resilience`); failed or quarantined specs yield
         ``None`` entries and their :class:`FailureRecord`\\ s flow through
         ``on_failure``.  This executor is the determinism reference the
-        parallel resilient path must match record for record.
+        parallel path must match record for record.
         """
-        results: List[Optional[MissionResult]] = []
-        if policy is not None:
-            schedule = ChaosSchedule.from_knobs()
-            emit = on_failure if on_failure is not None else (lambda record: None)
-            for spec in specs:
-                result = run_spec_resilient(spec, detectors, policy, schedule, emit)
-                if result is not None and on_result is not None:
-                    on_result(spec, result)
-                results.append(result)
-            return results
-        for spec in specs:
-            result = execute_spec(spec, detectors)
-            if on_result is not None:
-                on_result(spec, result)
-            results.append(result)
+        specs = list(specs)
+        results: List[Optional[MissionResult]] = [None] * len(specs)
+        _run_in_process(
+            ((pos, spec, 0) for pos, spec in enumerate(specs)),
+            results, detectors, policy, on_result, on_failure, {},
+        )
         return results
 
 
@@ -619,13 +628,12 @@ class ParallelExecutor:
 
     ``workers`` follows :func:`resolve_worker_count` semantics (``None`` reads
     ``MAVFI_WORKERS``).  The scheduling atom is a *prefix group* -- every spec
-    sharing one :meth:`RunSpec.prefix_key` -- so a golden-prefix cursor is
-    built exactly once per group, never once per chunk boundary; ``chunk_size``
-    is the number of whole groups riding in one pool task (default 1).  Tasks
-    are submitted in descending estimated-cost order (longest processing time
-    first) and the pool hands them to whichever worker frees up, so straggler
-    rebalancing -- work-stealing of whole groups -- falls out of the queue
-    discipline.
+    sharing one :meth:`RunSpec.prefix_key` -- and each pool task carries
+    exactly one, so a golden-prefix cursor is built exactly once per group.
+    Tasks are submitted in descending estimated-cost order (longest
+    processing time first), at most one per worker in flight, and each goes
+    to whichever worker frees up, so straggler rebalancing -- work-stealing
+    of whole groups -- falls out of the queue discipline.
 
     The effective worker count is clamped to ``os.cpu_count()`` unless
     ``oversubscribe`` (or ``MAVFI_OVERSUBSCRIBE=1``) lifts the clamp; when the
@@ -650,19 +658,14 @@ class ParallelExecutor:
 
     name = "parallel"
     distributed = True
-    supports_resilience = True
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         oversubscribe: Optional[bool] = None,
         start_method: Optional[str] = None,
     ) -> None:
         self.workers = env_worker_count() if workers is None else resolve_worker_count(workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
         self.oversubscribe = (
             oversubscription_allowed() if oversubscribe is None else bool(oversubscribe)
         )
@@ -672,16 +675,15 @@ class ParallelExecutor:
         #: Fleet-wide checkpoint statistics of the last :meth:`map`.
         self.last_checkpoint_stats = None
 
-    def _group_tasks(self, specs: Sequence[RunSpec]) -> List[List[List[Tuple[int, RunSpec]]]]:
-        """Whole-prefix-group pool tasks, costliest first (LPT order).
+    def _group_tasks(self, specs: Sequence[RunSpec]) -> List[List[Tuple[int, RunSpec]]]:
+        """Whole prefix groups, one per pool task, costliest first (LPT order).
 
         Original positions ride along so the result stream is returned in
         submission order regardless of completion order.
         """
         groups = prefix_groups(list(enumerate(specs)))
         groups.sort(key=estimate_group_cost, reverse=True)
-        size = self.chunk_size or 1
-        return [groups[i : i + size] for i in range(0, len(groups), size)]
+        return groups
 
     def _effective_workers(self, specs: Sequence[RunSpec]) -> int:
         workers = min(self.workers, max(1, len(specs)))
@@ -689,44 +691,12 @@ class ParallelExecutor:
             workers = min(workers, os.cpu_count() or 1)
         return workers
 
-    def _warm_fork_state(
-        self, specs: Sequence[RunSpec], tasks: Sequence[Sequence[Sequence[Tuple[int, RunSpec]]]]
-    ) -> None:
-        """Warm parent-process caches for copy-on-write inheritance (fork).
+    def _warm_caches(self, specs: Sequence[RunSpec]) -> Dict:
+        """Generate the specs' worlds and reconstruct their detectors here.
 
-        Worlds and detectors are warmed for every spec; golden cursors are
-        pre-built for the costliest groups up to the manager's LRU capacity
-        (tasks arrive LPT-ordered, so the first groups are the expensive
-        ones).  Each escape hatch disables its own layer: ``REPRO_NO_CACHE``
-        the world/detector warm-up, ``REPRO_NO_CHECKPOINT`` the cursors.
-        """
-        from repro.core import checkpoint
-        from repro.pipeline import builder
-
-        if construction_caches_enabled():
-            for spec in specs:
-                key = builder.world_key_for(pipeline_config_for(spec))
-                if key is not None:
-                    builder.world_for(*key)
-            for spec in specs:
-                if spec.detector in RECONSTRUCTIBLE_DETECTORS:
-                    _reconstruct_detector(spec)
-        if checkpoint.checkpointing_enabled():
-            budget = checkpoint.manager().max_cursors
-            groups = [group for task in tasks for group in task]
-            for group in groups[:budget]:
-                spec = group[0][1]
-                if not checkpoint.supports_spec(spec):
-                    continue
-                detector = _resolve_detector(spec, None)
-                checkpoint.manager().prebuild(spec, detector)
-
-    def _spawn_payload(self, specs: Sequence[RunSpec]) -> Dict:
-        """Construction state shipped to spawn-started workers.
-
-        Worlds are generated once in the parent and pickled to every worker;
-        detectors named by the specs are reconstructed (trained or loaded)
-        once and shipped the same way.  Empty when ``REPRO_NO_CACHE`` is set.
+        Fork-started workers inherit both copy-on-write; the returned payload
+        ships them to spawn-started workers through the pool initializer.
+        Empty (and nothing warmed) when ``REPRO_NO_CACHE`` is set.
         """
         from repro.pipeline import builder
 
@@ -742,6 +712,23 @@ class ParallelExecutor:
                 _reconstruct_detector(spec)
         payload["detectors"] = dict(_PROCESS_DETECTORS)
         return payload
+
+    @staticmethod
+    def _prebuild_cursors(groups: Sequence[Sequence[Tuple[int, RunSpec]]]) -> None:
+        """Pre-build golden cursors for fork-started workers to inherit.
+
+        Only the costliest groups, up to the manager's LRU capacity (groups
+        arrive LPT-ordered, so the first ones are the expensive ones); none
+        under ``REPRO_NO_CHECKPOINT``.
+        """
+        from repro.core import checkpoint
+
+        if not checkpoint.checkpointing_enabled():
+            return
+        for group in groups[: checkpoint.manager().max_cursors]:
+            spec = group[0][1]
+            if checkpoint.supports_spec(spec):
+                checkpoint.manager().prebuild(spec, _resolve_detector(spec, None))
 
     def _group_snapshot(self, pairs: Sequence[Tuple[int, RunSpec]]) -> Optional[bytes]:
         """Serialized golden-prefix cursor for one group (spawn warm-up).
@@ -768,7 +755,7 @@ class ParallelExecutor:
         specs: Iterable[RunSpec],
         on_result: Optional[ResultCallback] = None,
         detectors: Optional[Mapping[str, object]] = None,
-        policy: Optional[ResiliencePolicy] = None,
+        policy: ResiliencePolicy = PASS_THROUGH,
         on_failure: Optional[FailureCallback] = None,
     ) -> List[Optional[MissionResult]]:
         """Execute ``specs`` across the pool; returns results in spec order.
@@ -776,19 +763,20 @@ class ParallelExecutor:
         ``on_result`` fires as results arrive (completion order); the returned
         list is always in submission order, bit-identical to the serial path.
 
-        With a ``policy``, dispatch is resilient: mission exceptions become
-        retried/persisted :class:`FailureRecord`\\ s instead of dead pools, a
-        wall-clock watchdog bounds each pool task, hanging specs are
-        quarantined after ``quarantine_strikes``, and a broken pool is
-        rebuilt up to ``max_pool_respawns`` times (only unfinished work is
-        requeued) before the batch degrades to in-process serial execution.
-        Failed/quarantined specs yield ``None`` entries.
+        Under the default pass-through ``policy`` the first mission exception
+        re-raises unchanged and a broken pool raises ``BrokenProcessPool``.
+        Under a capturing one, mission exceptions become retried/persisted
+        :class:`FailureRecord`\\ s instead of dead pools, a wall-clock
+        watchdog bounds each pool task, hanging specs are quarantined after
+        ``quarantine_strikes``, and a broken pool is rebuilt up to
+        ``max_pool_respawns`` times (only unfinished work is requeued) before
+        the batch degrades to in-process serial execution.  Failed or
+        quarantined specs yield ``None`` entries.
         """
         from repro.core import checkpoint
 
-        # Reset per-map telemetry up front: a misuse error below or an early
-        # serial fallback must not leave stale stats from the previous map()
-        # visible to callers.
+        # Reset per-map telemetry up front: a misuse error below must not
+        # leave stale stats from the previous map() visible to callers.
         self.last_effective_workers = 0
         self.last_checkpoint_stats = None
         specs = list(specs)
@@ -806,58 +794,33 @@ class ParallelExecutor:
                 f"objects that cannot be reconstructed in worker processes; "
                 f"use the serial executor for custom detectors"
             )
-        workers = self._effective_workers(specs)
-        if workers <= 1 or len(specs) <= 1:
-            return self._serial_fallback(specs, on_result, detectors, policy, on_failure)
         # Scenario names resolve through the parent's registry; workers may
         # not have custom registrations, so ship resolved Scenario objects.
         specs = [materialize_scenario(spec) for spec in specs]
-        tasks = self._group_tasks(specs)
-        workers = min(workers, len(tasks))
-        if workers <= 1:
-            return self._serial_fallback(specs, on_result, detectors, policy, on_failure)
+        groups = self._group_tasks(specs)
+        workers = max(1, min(self._effective_workers(specs), len(groups)))
         self.last_effective_workers = workers
-
-        ctx = multiprocessing.get_context(self.start_method)
-        parent_before = checkpoint.checkpoint_stats().raw_dict()
-        if ctx.get_start_method() == "fork":
-            self._warm_fork_state(specs, tasks)
-            payload = None
-            shipped = [[(pairs, None) for pairs in task] for task in tasks]
-        else:
-            payload = self._spawn_payload(specs)
-            shipped = [
-                [(pairs, self._group_snapshot(pairs)) for pairs in task]
-                for task in tasks
-            ]
-        if policy is not None:
-            return self._resilient_pool_map(
-                specs, shipped, workers, ctx, payload,
-                on_result, on_failure, policy, parent_before,
-            )
+        before = checkpoint.checkpoint_stats().raw_dict()
         stats = checkpoint.CheckpointStats()
         results: List[Optional[MissionResult]] = [None] * len(specs)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(payload,),
-        ) as pool:
-            futures = [pool.submit(_execute_group_task, task) for task in shipped]
-            for future in as_completed(futures):
-                task_results, delta = future.result()
-                stats.merge(delta)
-                for pos, result in task_results:
-                    results[pos] = result
-                    if on_result is not None:
-                        on_result(specs[pos], result)
-        # Fold in what the parent itself did (fork warm-up cursor builds), so
-        # duplicate accounting spans the whole fleet, parent included.
-        stats.merge(
-            checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), parent_before)
-        )
+        if workers == 1:
+            # Clamped to one worker: fly in-process in cache order -- the
+            # per-group monotonic order a pool worker uses -- which keeps the
+            # zero duplicate-cursor-builds invariant.
+            order = sorted(range(len(specs)), key=lambda i: cache_order_key(specs[i]))
+            _run_in_process(
+                ((pos, specs[pos], 0) for pos in order),
+                results, detectors, policy, on_result, on_failure, {},
+            )
+        else:
+            self._pool_map(
+                specs, groups, workers, results, stats, policy, on_result, on_failure
+            )
+        # Fold in what the parent itself did (in-process specs, fork warm-up
+        # cursor builds), so duplicate accounting spans the whole fleet.
+        stats.merge(checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before))
         self.last_checkpoint_stats = stats
-        return list(results)
+        return results
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -875,43 +838,49 @@ class ParallelExecutor:
                 continue
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _resilient_pool_map(
+    def _pool_map(
         self,
         specs: Sequence[RunSpec],
-        shipped: Sequence[List[GroupTask]],
+        groups: Sequence[Sequence[Tuple[int, RunSpec]]],
         workers: int,
-        ctx,
-        payload: Optional[Dict],
+        results: List[Optional[MissionResult]],
+        stats: "CheckpointStats",
+        policy: ResiliencePolicy,
         on_result: Optional[ResultCallback],
         on_failure: Optional[FailureCallback],
-        policy: ResiliencePolicy,
-        parent_before: Dict,
-    ) -> List[Optional[MissionResult]]:
-        """Pool dispatch with the capture/retry/quarantine/degrade ladder.
+    ) -> None:
+        """The pool loop, with the capture/retry/quarantine/degrade ladder.
 
-        Submission is windowed (at most ``workers`` futures in flight) so the
-        per-task wall-clock watchdog measures *running* tasks, not queue
-        time.  On ``BrokenProcessPool`` or a watchdog overrun the pool is
-        killed and rebuilt, lost in-flight work is reconstructed via
+        Fills ``results`` and merges each harvested task's stats delta into
+        ``stats``.  Submission is windowed (at most ``workers`` futures in
+        flight) so the per-task wall-clock watchdog measures *running* tasks,
+        not queue time.  Under a pass-through policy any failure stops the
+        pool and re-raises.  Under a capturing one, on ``BrokenProcessPool``
+        or a watchdog overrun the pool is killed and rebuilt, lost in-flight
+        work is reconstructed via
         :func:`~repro.core.resilience.attribute_lost_task` (chaos faults) or
         the singleton-suspect heuristic (genuine timeouts), and only
         unfinished specs are requeued -- as singleton tasks, so the next
         overrun isolates its culprit.  After ``max_pool_respawns`` rebuilds
-        the remaining work degrades to in-process serial execution (chaos
-        faults are then simulated cooperatively, so degradation always
-        terminates; a *genuine* hang in degraded mode would stall the parent
-        -- raise ``REPRO_POOL_RESPAWNS`` if that is a live risk).
-
-        Checkpoint statistics are best-effort under resilience: deltas of
-        lost tasks die with their pool and are not re-counted on requeue.
+        the remaining work degrades to the in-process loop (chaos faults are
+        then simulated cooperatively, so degradation always terminates; a
+        *genuine* hang in degraded mode would stall the parent -- raise
+        ``REPRO_POOL_RESPAWNS`` if that is a live risk).  Checkpoint
+        statistics are best-effort under resilience: deltas of lost tasks
+        die with their pool and are not re-counted on requeue.
         """
         import time  # harness watchdog only; sim time stays on the middleware clock
 
-        from repro.core import checkpoint
-
-        schedule = ChaosSchedule.from_knobs()
-        stats = checkpoint.CheckpointStats()
-        results: List[Optional[MissionResult]] = [None] * len(specs)
+        ctx = multiprocessing.get_context(self.start_method)
+        payload: Optional[Dict] = self._warm_caches(specs)
+        if ctx.get_start_method() == "fork":
+            # Children inherit the warm caches and cursors copy-on-write.
+            self._prebuild_cursors(groups)
+            payload = None
+            tasks: List[GroupTask] = [(pairs, None) for pairs in groups]
+        else:
+            tasks = [(pairs, self._group_snapshot(pairs)) for pairs in groups]
+        schedule = policy.chaos()
         attempts: Dict[str, int] = {}
         strikes: Dict[str, int] = {}
         quarantined: Set[str] = set()
@@ -944,15 +913,10 @@ class ParallelExecutor:
 
         def requeue(pos: int, spec: RunSpec, base: int) -> None:
             attempts[spec.key()] = base
-            pending.append(([([(pos, spec)], None)], {spec.key(): base}))
+            pending.append((([(pos, spec)], None), {spec.key(): base}))
 
-        def live_task(task: List[GroupTask]) -> List[GroupTask]:
-            kept: List[GroupTask] = []
-            for pairs, blob in task:
-                alive = [(pos, spec) for pos, spec in pairs if spec.key() not in quarantined]
-                if alive:
-                    kept.append((alive, blob))
-            return kept
+        def live(task: GroupTask) -> List[Tuple[int, RunSpec]]:
+            return [(pos, spec) for pos, spec in task[0] if spec.key() not in quarantined]
 
         def harvest(value: Tuple) -> None:
             entries, events, delta = value
@@ -972,15 +936,11 @@ class ParallelExecutor:
                         requeue(pos, spec, attempts.get(spec.key(), 0))
                 # "failed": every attempt's record already rode in events.
 
-        pending: Deque[Tuple[List[GroupTask], Dict[str, int]]] = deque(
-            (list(task), {}) for task in shipped
+        pending: Deque[Tuple[GroupTask, Dict[str, int]]] = deque(
+            (task, {}) for task in tasks
         )
         respawns = 0
-        degraded = False
-        while pending:
-            if respawns > policy.max_pool_respawns:
-                degraded = True
-                break
+        while pending and respawns <= policy.max_pool_respawns:
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=ctx,
@@ -992,12 +952,12 @@ class ParallelExecutor:
                 while pending or in_flight:
                     while pending and len(in_flight) < workers:
                         task, bases = pending.popleft()
-                        task = live_task(task)
-                        if not task:
+                        pairs = live(task)
+                        if not pairs:
                             continue
+                        task = (pairs, task[1])
                         future = pool.submit(
-                            _execute_group_task_resilient,
-                            task, policy, schedule, bases,
+                            _execute_group_task, task, policy, schedule, bases
                         )
                         deadline = None
                         if policy.task_timeout is not None:
@@ -1025,8 +985,10 @@ class ParallelExecutor:
                         if any(d is not None and now >= d for (_, _, d) in in_flight.values()):
                             raise _WatchdogTimeout()
             except (BrokenProcessPool, _WatchdogTimeout) as failure:
-                respawns += 1
                 self._kill_pool(pool)
+                if not policy.capture:
+                    raise
+                respawns += 1
                 timed_out = isinstance(failure, _WatchdogTimeout)
                 # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
                 now = time.monotonic()
@@ -1036,9 +998,8 @@ class ParallelExecutor:
                         # results are real -- harvest, don't re-run.
                         harvest(future.result())
                         continue
-                    pairs = [(pos, spec) for group, _ in task for pos, spec in group]
                     dispositions = attribute_lost_task(
-                        pairs, policy, schedule, attempts, emit,
+                        task[0], policy, schedule, attempts, emit,
                         crashed=not timed_out,
                     )
                     expired = timed_out and deadline is not None and now >= deadline
@@ -1061,78 +1022,25 @@ class ParallelExecutor:
                                     continue
                             requeue(pos, spec, base)
                 in_flight.clear()
+            except BaseException:
+                # A pass-through mission exception, a raising callback or an
+                # interrupt: stop the workers, then propagate unchanged.
+                self._kill_pool(pool)
+                raise
             else:
                 pool.shutdown()
-                break
-        if degraded and pending:
+        if pending:
             # Graceful degradation: finish the remaining work in-process.
             # Chaos crashes/hangs are simulated cooperatively here, so a
             # chaos-ridden campaign always converges.
-            for task, bases in pending:
-                for pairs, _blob in live_task(task):
-                    for pos, spec in pairs:
-                        key = spec.key()
-                        if schedule is not None and schedule.hangs(key):
-                            while not hang_strike(spec):
-                                pass
-                            continue
-                        status, result, _ = guarded_execute(
-                            spec, None, policy, schedule,
-                            attempts.get(key, bases.get(key, 0)),
-                            emit, in_worker=False,
-                        )
-                        if status == "ok" and result is not None:
-                            results[pos] = result
-                            if on_result is not None:
-                                on_result(specs[pos], result)
-            pending.clear()
-        stats.merge(
-            checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), parent_before)
-        )
-        self.last_checkpoint_stats = stats
-        return list(results)
-
-    def _serial_fallback(
-        self,
-        specs: Sequence[RunSpec],
-        on_result: Optional[ResultCallback],
-        detectors: Optional[Mapping[str, object]],
-        policy: Optional[ResiliencePolicy] = None,
-        on_failure: Optional[FailureCallback] = None,
-    ) -> List[Optional[MissionResult]]:
-        """Run in-process (clamped to one worker) with full stats accounting.
-
-        Specs execute in cache-friendly order -- the same per-group monotonic
-        order the pool path uses -- so the fallback keeps the zero
-        duplicate-cursor-builds invariant; results come back in submission
-        order, and ``on_result`` fires in execution order like the pool's
-        completion-order callbacks.  With a ``policy`` the specs go through
-        the same serial resilience ladder as :class:`SerialExecutor`.
-        """
-        from repro.core import checkpoint
-
-        before = checkpoint.checkpoint_stats().raw_dict()
-        order = sorted(range(len(specs)), key=lambda i: cache_order_key(specs[i]))
-        results: List[Optional[MissionResult]] = [None] * len(specs)
-        if policy is not None:
-            schedule = ChaosSchedule.from_knobs()
-            emit = on_failure if on_failure is not None else (lambda record: None)
-            for i in order:
-                result = run_spec_resilient(specs[i], detectors, policy, schedule, emit)
-                results[i] = result
-                if result is not None and on_result is not None:
-                    on_result(specs[i], result)
-        else:
-            for i in order:
-                result = execute_spec(specs[i], detectors)
-                results[i] = result
-                if on_result is not None:
-                    on_result(specs[i], result)
-        stats = checkpoint.CheckpointStats()
-        stats.merge(checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before))
-        self.last_checkpoint_stats = stats
-        self.last_effective_workers = 1
-        return list(results)
+            _run_in_process(
+                (
+                    (pos, spec, attempts.get(spec.key(), bases.get(spec.key(), 0)))
+                    for task, bases in pending
+                    for pos, spec in live(task)
+                ),
+                results, None, policy, on_result, emit, strikes,
+            )
 
 
 def get_executor(workers: Optional[int] = None):
@@ -1152,7 +1060,7 @@ def execute_specs(
     resume: bool = True,
     on_result: Optional[ResultCallback] = None,
     known_results: Optional[Dict[str, MissionResult]] = None,
-    policy: Optional[ResiliencePolicy] = None,
+    policy: ResiliencePolicy = PASS_THROUGH,
     on_failure: Optional[FailureCallback] = None,
 ) -> List[Optional[MissionResult]]:
     """Run ``specs`` through ``executor`` with optional JSONL persistence.
@@ -1165,12 +1073,13 @@ def execute_specs(
     :meth:`Campaign.run_specs`) pass the key->result map in instead of having
     it re-read from disk.
 
-    With a ``policy`` the run goes through the resilience ladder: failures
-    become structured :class:`~repro.core.resilience.FailureRecord` lines in
-    the store (and ``on_failure`` callbacks), retries/timeouts/quarantine
-    apply, and the returned list holds ``None`` for specs that produced no
-    surviving result.  Without a policy behaviour is unchanged: any mission
-    exception propagates and the list has no ``None`` entries.
+    Under a capturing ``policy`` the run goes through the resilience
+    ladder: failures become structured
+    :class:`~repro.core.resilience.FailureRecord` lines in the store (and
+    ``on_failure`` callbacks), retries/timeouts/quarantine apply, and the
+    returned list holds ``None`` for specs that produced no surviving
+    result.  Under the default pass-through policy any mission exception
+    propagates, no chaos is drawn and the list has no ``None`` entries.
     """
     specs = list(specs)
     if executor is None:
@@ -1193,7 +1102,7 @@ def execute_specs(
     # executor -- is affected.
     pending = cache_friendly_order(pending)
 
-    schedule = ChaosSchedule.from_knobs() if policy is not None else None
+    schedule = policy.chaos()
 
     def record(spec: RunSpec, result: MissionResult) -> None:
         if store is not None:
@@ -1225,16 +1134,13 @@ def execute_specs(
         if on_failure is not None:
             on_failure(record_obj)
 
-    if policy is not None and getattr(executor, "supports_resilience", False):
-        fresh = executor.map(
-            pending,
-            on_result=record,
-            detectors=detectors,
-            policy=policy,
-            on_failure=capture,
-        )
-    else:
-        fresh = executor.map(pending, on_result=record, detectors=detectors)
+    fresh = executor.map(
+        pending,
+        on_result=record,
+        detectors=detectors,
+        policy=policy,
+        on_failure=capture,
+    )
     for spec, result in zip(pending, fresh):
         if result is not None:
             known[spec.key()] = result

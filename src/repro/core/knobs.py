@@ -303,8 +303,8 @@ TASK_TIMEOUT = _register(Knob(
     kind="float",
     description=(
         "Wall-clock watchdog, in seconds, applied per pool task by the "
-        "resilient parallel executor; an overrunning task's worker is killed "
-        "and the task's specs are retried or quarantined."
+        "parallel executor; an overrunning task's worker is killed and the "
+        "task's specs are retried or quarantined."
     ),
     default="watchdog off",
     parse=_parse_timeout_seconds,
@@ -325,9 +325,9 @@ POOL_RESPAWNS = _register(Knob(
     name="REPRO_POOL_RESPAWNS",
     kind="int",
     description=(
-        "Process-pool rebuilds the resilient parallel executor attempts "
-        "after BrokenProcessPool/timeout before degrading to the serial "
-        "path (0 = degrade on the first pool loss)."
+        "Process-pool rebuilds the parallel executor attempts after "
+        "BrokenProcessPool/timeout before degrading to the serial path "
+        "(0 = degrade on the first pool loss)."
     ),
     default="2",
     parse=_parse_nonneg_int,

@@ -11,9 +11,9 @@ assumed existed:
   spec key, error identity, attempt number and final outcome so the report
   engine can account for every spec the campaign touched.
 * :class:`ResiliencePolicy` -- bounded deterministic retry, a per-task
-  wall-clock watchdog, poisoned-spec quarantine after N hang strikes, and a
-  bounded pool-respawn budget before the parallel executor degrades to the
-  serial path.
+  wall-clock watchdog, quarantine after N hang strikes and a bounded
+  pool-respawn budget before the pool degrades to the in-process loop; its
+  :data:`PASS_THROUGH` value captures nothing and re-raises.
 * :class:`ChaosSchedule` -- a seeded fault schedule that injects worker
   crashes, mission exceptions, hangs and torn/garbage shard writes into the
   harness itself.  Every chaos decision is a pure function of (schedule seed,
@@ -21,9 +21,8 @@ assumed existed:
   faults for the same specs and a chaos-ridden campaign converges to
   bit-identical surviving results vs a clean run.
 
-The capture -> retry -> quarantine -> degrade ladder lives here; the
-executors (:mod:`repro.core.executor`) thread it through their dispatch
-paths, and :class:`~repro.core.results.JsonlResultStore` persists the
+The per-spec capture -> retry ladder (:func:`guarded_execute`) lives here;
+the executors run every spec through it, and the result store persists the
 failure records next to the mission results they explain.
 """
 
@@ -51,6 +50,7 @@ from repro.core.qof import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.executor import RunSpec
+    from repro.pipeline.runner import MissionResult
 
 # Failure outcomes, in ladder order.
 OUTCOME_RETRIED = "retried"
@@ -221,12 +221,18 @@ class ResiliencePolicy:
     Picklable plain data so the parallel executor can ship it to workers.
     ``task_timeout`` of ``None`` disables the wall-clock watchdog (hangs are
     then only caught when chaos simulates them cooperatively).
+
+    ``capture=False`` turns the policy into a pass-through: the first
+    mission exception, broken pool or watchdog overrun re-raises to the
+    caller, no failure record is emitted and no chaos is drawn.  The default
+    policy of every dispatch entry point is :data:`PASS_THROUGH`.
     """
 
     max_attempts: int = 3
     task_timeout: Optional[float] = None
     quarantine_strikes: int = 2
     max_pool_respawns: int = 2
+    capture: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -246,17 +252,29 @@ class ResiliencePolicy:
 
     @classmethod
     def from_knobs(cls) -> "ResiliencePolicy":
-        """Policy as configured by the ``REPRO_*`` resilience knobs."""
-        max_attempts = knobs.value("REPRO_MAX_ATTEMPTS")
-        timeout = knobs.value("REPRO_TASK_TIMEOUT")
-        strikes = knobs.value("REPRO_QUARANTINE_STRIKES")
-        respawns = knobs.value("REPRO_POOL_RESPAWNS")
-        return cls(
-            max_attempts=3 if max_attempts is None else int(max_attempts),
-            task_timeout=None if timeout is None else float(timeout),
-            quarantine_strikes=2 if strikes is None else int(strikes),
-            max_pool_respawns=2 if respawns is None else int(respawns),
-        )
+        """Capturing policy as configured by the ``REPRO_*`` resilience knobs.
+
+        An unset knob keeps the field's dataclass default.
+        """
+        values = {
+            "max_attempts": knobs.value("REPRO_MAX_ATTEMPTS"),
+            "task_timeout": knobs.value("REPRO_TASK_TIMEOUT"),
+            "quarantine_strikes": knobs.value("REPRO_QUARANTINE_STRIKES"),
+            "max_pool_respawns": knobs.value("REPRO_POOL_RESPAWNS"),
+        }
+        return cls(**{name: value for name, value in values.items() if value is not None})
+
+    def chaos(self) -> Optional["ChaosSchedule"]:
+        """The ``REPRO_CHAOS`` schedule this policy draws from.
+
+        ``None`` when chaos is off, and always under a pass-through policy.
+        """
+        return ChaosSchedule.from_knobs() if self.capture else None
+
+
+#: The policy that captures nothing: one attempt, no watchdog, no respawn,
+#: no chaos draws, and the first failure re-raised unchanged.
+PASS_THROUGH = ResiliencePolicy(max_attempts=1, max_pool_respawns=0, capture=False)
 
 
 # ------------------------------------------------------------------ chaos plan
@@ -354,14 +372,14 @@ def _hang_in_worker(policy: ResiliencePolicy) -> None:
 
 
 def guarded_execute(
-    spec,
+    spec: "RunSpec",
     detectors: Optional[Mapping[str, object]],
     policy: ResiliencePolicy,
     schedule: Optional[ChaosSchedule],
     base_attempt: int,
     emit: FailureCallback,
     in_worker: bool = False,
-) -> Tuple[str, Optional[object], int]:
+) -> Tuple[str, Optional["MissionResult"], int]:
     """One spec through the capture/retry ladder; returns (status, result, attempts).
 
     Status is ``"ok"`` (result attached), ``"failed"`` (attempts exhausted;
@@ -376,6 +394,9 @@ def guarded_execute(
     the parent reconstructs the record via :func:`attribute_lost_task` -- and
     a chaos hang really sleeps into the watchdog.  In the parent, both are
     simulated cooperatively with identical records.
+
+    Under a pass-through policy (``capture=False``) the first exception
+    re-raises unchanged once the spec's cursor is discarded.
     """
     from repro.core.executor import execute_spec
 
@@ -401,36 +422,14 @@ def guarded_execute(
             return ("ok", result, attempt)
         except Exception as exc:
             # Deliberate broad capture: this is the one place harness-level
-            # failure capture happens, and every exception becomes a
-            # persisted FailureRecord rather than a dead campaign.
+            # failure capture happens, and under a capturing policy every
+            # exception becomes a persisted FailureRecord rather than a dead
+            # campaign.
             discard_checkpoint_cursor(spec)
+            if not policy.capture:
+                raise
             emit(failure_from_exception(spec, exc, attempt, outcome))
     return ("failed", None, attempt)
-
-
-def run_spec_resilient(
-    spec: "RunSpec",
-    detectors: Optional[Mapping[str, object]],
-    policy: ResiliencePolicy,
-    schedule: Optional[ChaosSchedule],
-    emit: FailureCallback,
-) -> Optional[object]:
-    """Serial-reference resilient execution of one spec (hang ladder included).
-
-    A hanging spec walks the full quarantine ladder immediately (strike
-    records 1..quarantine_strikes, the last marked ``quarantined``) -- the
-    exact record sequence the parallel executor accumulates across watchdog
-    kills -- and yields no result.
-    """
-    if schedule is not None and schedule.hangs(spec.key()):
-        for strike in range(1, policy.quarantine_strikes + 1):
-            last = strike == policy.quarantine_strikes
-            emit(hang_failure(spec, strike, OUTCOME_QUARANTINED if last else OUTCOME_RETRIED))
-        return None
-    _, result, _ = guarded_execute(
-        spec, detectors, policy, schedule, 0, emit, in_worker=False
-    )
-    return result
 
 
 # ------------------------------------------------- lost-pool-task attribution

@@ -87,11 +87,11 @@ class AnomalyDetectionNode(Node):
         super().__init__("anomaly_detection")
         self.detector = detector
         self.detection_latency = float(detection_latency)
-        if policy is None:
-            policy = DetectionPolicy(
-                recompute_target="control" if isinstance(detector, AadDetector) else "stage"
-            )
-        self.policy = policy
+        # One autoencoder scores the whole pipeline and cannot name the
+        # anomalous stage, so AAD recomputes control; GAD routes to the owner.
+        self.policy = policy or DetectionPolicy(
+            recompute_target="control" if isinstance(detector, AadDetector) else "stage"
+        )
         self.preprocessor = DataPreprocessor()
         self.alarms_by_stage: Dict[str, int] = {stage: 0 for stage in topics.PPC_STAGES}
         self.dropped_messages = 0

@@ -122,10 +122,6 @@ class TestWorkerCounts:
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 2
 
-    def test_parallel_chunk_size_validation(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=2, chunk_size=0)
-
 
 class TestSerialParallelEquivalence:
     def test_identical_result_streams(self):
@@ -158,7 +154,7 @@ class TestSerialParallelEquivalence:
         seen = []
         campaign.run_specs(
             specs,
-            executor=ParallelExecutor(workers=2, chunk_size=1),
+            executor=ParallelExecutor(workers=2),
             on_result=lambda spec, result: seen.append(spec.key()),
         )
         assert sorted(seen) == sorted(spec.key() for spec in specs)
@@ -210,14 +206,11 @@ class TestPrefixAffinityScheduling:
         specs = _small_specs(campaign)
         executor = ParallelExecutor(workers=2)
         tasks = executor._group_tasks(specs)
-        # Default chunk: one whole prefix group per pool task, costliest first
-        # (LPT), so the FIFO pool rebalances stragglers by whole groups.
-        assert all(len(task) == 1 for task in tasks)
-        costs = [estimate_group_cost(task[0]) for task in tasks]
+        # One whole prefix group per pool task, costliest first (LPT), so the
+        # windowed pool rebalances stragglers by whole groups.
+        assert sorted(tasks) == sorted(prefix_groups(list(enumerate(specs))))
+        costs = [estimate_group_cost(task) for task in tasks]
         assert costs == sorted(costs, reverse=True)
-        chunked = ParallelExecutor(workers=2, chunk_size=2)._group_tasks(specs)
-        assert all(len(task) <= 2 for task in chunked)
-        assert sum(len(task) for task in chunked) == len(tasks)
 
     def test_estimate_group_cost_scales_with_suffix_work(self):
         campaign = _fast_campaign(num_golden=1, num_injections_per_stage=1)

@@ -9,9 +9,13 @@ parallel alike.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import executor as executor_module
 from repro.core import knobs
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
 from repro.core.executor import (
@@ -25,13 +29,13 @@ from repro.core.resilience import (
     OUTCOME_FAILED,
     OUTCOME_QUARANTINED,
     OUTCOME_RETRIED,
+    PASS_THROUGH,
     ChaosMissionError,
     ChaosSchedule,
     FailureRecord,
     ResiliencePolicy,
     failure_from_exception,
     hang_failure,
-    run_spec_resilient,
 )
 from repro.core.results import JsonlResultStore, mission_result_to_dict
 
@@ -241,14 +245,14 @@ class TestSerialResilience:
         specs = _specs(campaign)
         clean = [mission_result_to_dict(execute_spec(spec)) for spec in specs]
         # raise_rate=0.4: some specs fail attempt 0 and are retried.
-        schedule = ChaosSchedule(raise_rate=0.4, seed=11)
         policy = ResiliencePolicy(max_attempts=4)
         failures = []
-        retried = 0
-        for spec, clean_dict in zip(specs, clean):
-            result = run_spec_resilient(
-                spec, None, policy, schedule, failures.append
+        with knobs.temporary({"REPRO_CHAOS": "raise=0.4", "REPRO_CHAOS_SEED": "11"}):
+            results = SerialExecutor().map(
+                specs, policy=policy, on_failure=failures.append
             )
+        retried = 0
+        for spec, result, clean_dict in zip(specs, results, clean):
             assert result is not None
             if any(f.spec_key == spec.key() for f in failures):
                 retried += 1
@@ -259,11 +263,13 @@ class TestSerialResilience:
     def test_attempt_exhaustion_yields_failed_record(self):
         campaign = _fast_campaign()
         spec = _specs(campaign)[0]
-        schedule = ChaosSchedule(raise_rate=1.0, seed=0)
         policy = ResiliencePolicy(max_attempts=3)
         failures = []
-        result = run_spec_resilient(spec, None, policy, schedule, failures.append)
-        assert result is None
+        with knobs.temporary({"REPRO_CHAOS": "raise=1.0", "REPRO_CHAOS_SEED": "0"}):
+            results = SerialExecutor().map(
+                [spec], policy=policy, on_failure=failures.append
+            )
+        assert results == [None]
         assert [f.outcome for f in failures] == [
             OUTCOME_RETRIED, OUTCOME_RETRIED, OUTCOME_FAILED,
         ]
@@ -272,11 +278,13 @@ class TestSerialResilience:
     def test_hang_quarantine_ladder(self):
         campaign = _fast_campaign()
         spec = _specs(campaign)[0]
-        schedule = ChaosSchedule(hang_rate=1.0, seed=0)
         policy = ResiliencePolicy(quarantine_strikes=3)
         failures = []
-        result = run_spec_resilient(spec, None, policy, schedule, failures.append)
-        assert result is None
+        with knobs.temporary({"REPRO_CHAOS": "hang=1.0", "REPRO_CHAOS_SEED": "0"}):
+            results = SerialExecutor().map(
+                [spec], policy=policy, on_failure=failures.append
+            )
+        assert results == [None]
         assert [f.outcome for f in failures] == [
             OUTCOME_RETRIED, OUTCOME_RETRIED, OUTCOME_QUARANTINED,
         ]
@@ -284,26 +292,30 @@ class TestSerialResilience:
 
     def test_real_exception_is_captured_not_raised(self):
         campaign = _fast_campaign()
-        spec = _specs(campaign)[0]
-        policy = ResiliencePolicy(max_attempts=1)
-        failures = []
+        # A detector-bearing spec, so execute_spec really consults the
+        # mapping below (a detector-free spec never would).
+        spec = RunSpec(
+            config=campaign.config, setting="dr", seed=0, detector="gaussian"
+        )
+        calls = []
 
         class ExplodingDetectors(dict):
-            def get(self, *args, **kwargs):  # pragma: no cover - trivial
+            def get(self, *args, **kwargs):
+                calls.append(args)
                 raise RuntimeError("detector blew up")
 
-        # Without a policy the exception propagates (legacy behaviour is the
-        # contract for policy=None callers); with one it becomes a record.
-        result = run_spec_resilient(
-            spec, ExplodingDetectors(), policy, None, failures.append
+        failures = []
+        results = SerialExecutor().map(
+            [spec],
+            detectors=ExplodingDetectors(),
+            policy=ResiliencePolicy(max_attempts=1),
+            on_failure=failures.append,
         )
-        if failures:
-            assert result is None
-            assert failures[0].outcome == OUTCOME_FAILED
-        else:
-            # The detector mapping was never consulted for this spec; the
-            # mission simply succeeded. Still a valid capture path.
-            assert result is not None
+        assert len(calls) == 1
+        assert results == [None]
+        assert [(f.error_type, f.message, f.outcome) for f in failures] == [
+            ("RuntimeError", "detector blew up", OUTCOME_FAILED),
+        ]
 
 
 # -------------------------------------------------------- chaos convergence
@@ -494,3 +506,95 @@ class TestExecuteSpecsFailurePersistence:
 
     def test_chaos_error_is_a_runtime_error(self):
         assert issubclass(ChaosMissionError, RuntimeError)
+
+
+# ------------------------------------------------------- pass-through policy
+#: Every dispatch shape a pass-through (default-policy) caller can reach.
+STRICT_EXECUTORS = {
+    "serial": SerialExecutor,
+    "pool": lambda: ParallelExecutor(workers=2, oversubscribe=True),
+    "one-worker": lambda: ParallelExecutor(workers=1),
+}
+
+
+class TestPassThroughPolicy:
+    """Without a policy the caller gets results or the original exception."""
+
+    def test_pass_through_value(self):
+        assert PASS_THROUGH == ResiliencePolicy(
+            max_attempts=1, max_pool_respawns=0, capture=False
+        )
+        assert PASS_THROUGH.task_timeout is None
+        with knobs.temporary({"REPRO_CHAOS": "raise=1.0"}):
+            assert PASS_THROUGH.chaos() is None
+            assert ResiliencePolicy().chaos() == ChaosSchedule(raise_rate=1.0)
+
+    @pytest.mark.parametrize("kind", sorted(STRICT_EXECUTORS))
+    def test_raising_spec_propagates_unchanged(self, kind, tmp_path):
+        campaign = _fast_campaign(num_golden=1)
+        good = campaign.golden_specs()[0]
+        # Its mission raises KeyError("unknown planner ...") once it starts
+        # planning; a different planner is a different prefix group, so the
+        # pool path really has two tasks for its two workers.
+        bad = RunSpec(
+            config=campaign.config, setting="golden", seed=good.seed,
+            planner_name="no-such-planner",
+        )
+        executor = STRICT_EXECUTORS[kind]()
+        store = JsonlResultStore(tmp_path / "r.jsonl")
+        failures = []
+        # Twice in one process: the failed attempt must not leave its
+        # half-flown golden-prefix cursor behind to serve the re-run a result.
+        for _ in range(2):
+            with pytest.raises(KeyError, match="unknown planner 'no-such-planner'"):
+                execute_specs(
+                    [good, bad], executor=executor, store=store,
+                    on_failure=failures.append,
+                )
+        assert failures == []
+        assert store.load_failures() == []
+        if kind != "serial":
+            assert executor.last_effective_workers == (2 if kind == "pool" else 1)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing stand-in reaches workers only by fork inheritance",
+    )
+    def test_broken_pool_raises_instead_of_respawning(self, monkeypatch):
+        campaign = _fast_campaign(num_golden=2)
+        specs = campaign.golden_specs()
+        parent = os.getpid()
+        ran_in_parent = []
+
+        def crash(spec, detectors=None):
+            if os.getpid() == parent:
+                ran_in_parent.append(spec.key())
+                raise AssertionError("a strict pool must not fall back in-process")
+            os._exit(3)
+
+        monkeypatch.setattr(executor_module, "execute_spec", crash)
+        with pytest.raises(BrokenProcessPool):
+            ParallelExecutor(workers=2, oversubscribe=True).map(specs)
+        assert ran_in_parent == []
+
+    @pytest.mark.parametrize("kind", ["serial", "pool"])
+    def test_chaos_is_never_drawn(self, kind, tmp_path):
+        campaign = _fast_campaign(num_golden=2, num_injections_per_stage=1)
+        specs = _specs(campaign)
+        store = JsonlResultStore(tmp_path / "r.jsonl")
+        failures = []
+        chaos = {
+            "REPRO_CHAOS": "raise=1.0,crash=1.0,hang=1.0,torn=1.0",
+            "REPRO_CHAOS_SEED": "0",
+        }
+        with knobs.temporary(chaos):
+            results = execute_specs(
+                specs, executor=STRICT_EXECUTORS[kind](), store=store,
+                on_failure=failures.append,
+            )
+        assert all(result is not None for result in results)
+        assert failures == []
+        assert JsonlResultStore(store.path).shard_health().is_clean
+        assert set(JsonlResultStore(store.path).completed_keys()) == {
+            spec.key() for spec in specs
+        }
