@@ -11,7 +11,13 @@ import json
 
 import pytest
 
-from repro.bench import format_bench_table, run_bench, validate_report, validate_report_file
+from repro.bench import (
+    format_bench_table,
+    run_bench,
+    time_pair,
+    validate_report,
+    validate_report_file,
+)
 
 from conftest import print_artifact
 
@@ -38,13 +44,30 @@ def test_smoke_bench_writes_valid_report(tmp_path):
     # gate is looser here than the full-bench >=3x because the smoke workload
     # is tiny and CI machines are noisy.
     for name, entry in kernels.items():
-        assert entry["speedup"] > 1.2, f"{name} did not beat its scalar reference"
+        assert entry["speedup"] > 1.2, (
+            f"{name} did not beat its scalar reference: {entry['speedup']:.2f}x"
+        )
     assert kernels["occupancy_integration"]["speedup"] > 1.5
     # The profiled mission must have exercised the perception kernels.
     per_kernel = loaded["pipeline"]["per_kernel"]
     for kernel in ("point_cloud_generation", "octomap_generation", "collision_check"):
         assert per_kernel[kernel]["calls"] > 0
     print_artifact("Hot-path bench: smoke workload", format_bench_table(report))
+
+
+def test_time_pair_interleaves_measured_runs():
+    # Both sides warm up, then their measured runs alternate, so a drift of
+    # the host's speed during the measurement reaches both sides alike.
+    calls = []
+    vector, scalar = time_pair(
+        lambda: calls.append("v"), lambda: calls.append("s"),
+        repeats=3, scalar_repeats=1, calls_per_run=5,
+    )
+    assert calls == ["v", "s", "v", "s", "v", "v"]
+    assert (vector.repeats, scalar.repeats, vector.calls_per_run) == (3, 1, 5)
+    calls.clear()
+    time_pair(lambda: calls.append("v"), lambda: calls.append("s"), repeats=2)
+    assert calls == ["v", "s", "v", "s", "v", "s"]
 
 
 def test_malformed_reports_rejected(tmp_path):

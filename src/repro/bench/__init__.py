@@ -23,7 +23,7 @@ from repro.bench.harness import (
     BENCH_SCHEMA,
     DEFAULT_REPORT_NAME,
     TimingStats,
-    time_callable,
+    time_pair,
     validate_report,
     validate_report_file,
     write_report,
@@ -46,7 +46,7 @@ __all__ = [
     "format_campaign_table",
     "run_bench",
     "run_campaign_bench",
-    "time_callable",
+    "time_pair",
     "validate_campaign_report",
     "validate_campaign_report_file",
     "validate_report",

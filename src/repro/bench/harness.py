@@ -1,8 +1,9 @@
 """Timing harness and report schema for the hot-path benchmarks.
 
-Small, dependency-free ``timeit``-style plumbing: :func:`time_callable` runs a
-callable repeatedly and keeps best/mean wall time, :func:`kernel_entry` folds a
-vectorized-vs-scalar pair of timings into one report entry, and
+Small, dependency-free ``timeit``-style plumbing: :func:`time_pair` runs a
+kernel and its scalar reference repeatedly, interleaved, and keeps best/mean
+wall time of each, :func:`kernel_entry` folds such a pair of timings into one
+report entry, and
 :func:`validate_report` / :func:`validate_report_file` enforce the
 ``BENCH_hotpath.json`` schema (the CI bench job fails on malformed output
 through them).
@@ -16,7 +17,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,26 +67,45 @@ class TimingStats:
         }
 
 
-def time_callable(
-    fn: Callable[[], object],
-    repeats: int = 5,
+def time_pair(
+    vector: Callable[[], object],
+    scalar: Callable[[], object],
+    repeats: int,
+    scalar_repeats: Optional[int] = None,
     warmup: int = 1,
     calls_per_run: int = 1,
-) -> TimingStats:
-    """Time ``fn()`` over ``repeats`` runs (after ``warmup`` unmeasured runs)."""
-    for _ in range(max(warmup, 0)):
-        fn()
-    samples = []
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) * 1e3)
-    return TimingStats(
-        best_ms=min(samples),
-        mean_ms=sum(samples) / len(samples),
-        repeats=len(samples),
-        calls_per_run=calls_per_run,
+) -> Tuple[TimingStats, TimingStats]:
+    """Time a kernel and its reference, their measured runs interleaved.
+
+    Each side first runs ``warmup`` unmeasured times.  The measured runs
+    then alternate (vector, scalar, vector, ...) until the vector side has
+    ``repeats`` and the scalar side ``scalar_repeats`` (default: the same).
+    Timing one side after the other would let the host's speed drift
+    between the two phases move their ratio; interleaved, drift reaches
+    both sides alike.
+    """
+    sides = (vector, scalar)
+    counts = (max(repeats, 1), max(repeats if scalar_repeats is None else scalar_repeats, 1))
+    for fn in sides:
+        for _ in range(max(warmup, 0)):
+            fn()
+    samples: Tuple[List[float], List[float]] = ([], [])
+    for i in range(max(counts)):
+        for fn, count, times in zip(sides, counts, samples):
+            if i < count:
+                start = time.perf_counter()
+                fn()
+                times.append((time.perf_counter() - start) * 1e3)
+    vector_stats, scalar_stats = (
+        TimingStats(
+            best_ms=min(times),
+            mean_ms=sum(times) / len(times),
+            repeats=len(times),
+            calls_per_run=calls_per_run,
+        )
+        for times in samples
     )
+    return vector_stats, scalar_stats
 
 
 def kernel_entry(vector: TimingStats, scalar: Optional[TimingStats]) -> Dict:

@@ -21,7 +21,7 @@ from repro.bench.harness import (
     DEFAULT_REPORT_NAME,
     host_fingerprint,
     kernel_entry,
-    time_callable,
+    time_pair,
     write_report,
 )
 from repro.bench.scalar_ref import (
@@ -63,8 +63,7 @@ def _bench_occupancy(workload: HotpathWorkload, repeats: int) -> Dict:
 
     calls = len(workload.clouds)
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
-        time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
+        *time_pair(run_vector, run_scalar, repeats, calls_per_run=calls)
     )
 
 
@@ -82,10 +81,9 @@ def _bench_point_cloud(workload: HotpathWorkload, repeats: int) -> Dict:
 
     calls = len(workload.depth_frames)
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
         # The per-pixel loop is orders of magnitude slower; one repeat keeps
         # the bench fast while still being a fair best-of measurement.
-        time_callable(run_scalar, repeats=1, calls_per_run=calls),
+        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=calls)
     )
 
 
@@ -110,8 +108,7 @@ def _bench_collision(workload: HotpathWorkload, repeats: int) -> Dict:
 
     calls = len(workload.query_poses)
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
-        time_callable(run_scalar, repeats=1, calls_per_run=calls),
+        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=calls)
     )
 
 
@@ -128,8 +125,7 @@ def _bench_gad(workload: HotpathWorkload, repeats: int) -> Dict:
         scalar_gad_scores(gad, window, features)
 
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=len(window)),
-        time_callable(run_scalar, repeats=1, calls_per_run=len(window)),
+        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=len(window))
     )
 
 
@@ -145,8 +141,7 @@ def _bench_aad(workload: HotpathWorkload, repeats: int) -> Dict:
         scalar_aad_errors(aad, window)
 
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=len(window)),
-        time_callable(run_scalar, repeats=1, calls_per_run=len(window)),
+        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=len(window))
     )
 
 
@@ -161,8 +156,7 @@ def _bench_preprocess(workload: HotpathWorkload, repeats: int) -> Dict:
         scalar_sign_exponent(values)
 
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=len(values)),
-        time_callable(run_scalar, repeats=1, calls_per_run=len(values)),
+        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=len(values))
     )
 
 
@@ -180,8 +174,7 @@ def _bench_motion_planning(corpus: ReferenceCorpus, repeats: int) -> Dict:
 
     calls = len(cases)
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
-        time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
+        *time_pair(run_vector, run_scalar, repeats, calls_per_run=calls)
     )
 
 
@@ -199,8 +192,7 @@ def _bench_depth_raycast(corpus: ReferenceCorpus, repeats: int) -> Dict:
 
     calls = len(cases)
     return kernel_entry(
-        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
-        time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
+        *time_pair(run_vector, run_scalar, repeats, calls_per_run=calls)
     )
 
 

@@ -30,6 +30,7 @@ from repro.rosmw.message import (
     OdometryMsg,
     Waypoint,
 )
+from repro.sim.tickmath import clip, norm
 
 
 @dataclass
@@ -98,17 +99,22 @@ class PathTracker:
         if not waypoints:
             return
         self.current_index = min(self.current_index, len(waypoints) - 1)
+        px, py, pz = position.tolist()
         advanced = True
         while advanced and self.current_index < len(waypoints) - 1:
             advanced = False
             target = waypoints[self.current_index]
             # Clip before the norm so corrupted (astronomically large)
-            # way-points cannot overflow the arithmetic.
-            offset = np.clip(target.position(), -1e9, 1e9) - position
-            distance = float(np.linalg.norm(offset))
-            if not np.isfinite(distance):
-                distance = float("inf")
-            if distance < cfg.capture_radius:
+            # way-points cannot overflow the arithmetic.  A non-finite
+            # distance is never below the capture radius.
+            offset = np.array(
+                (
+                    clip(float(target.x), -1e9, 1e9) - px,
+                    clip(float(target.y), -1e9, 1e9) - py,
+                    clip(float(target.z), -1e9, 1e9) - pz,
+                )
+            )
+            if norm(offset) < cfg.capture_radius:
                 self.current_index += 1
                 self.time_on_target = 0.0
                 advanced = True
@@ -133,7 +139,7 @@ class PathTracker:
     def brake_scale(self, time_to_collision: float) -> float:
         """Speed scale factor from the reactive-braking governor."""
         cfg = self.config
-        if not np.isfinite(time_to_collision) or time_to_collision >= cfg.brake_horizon:
+        if not math.isfinite(time_to_collision) or time_to_collision >= cfg.brake_horizon:
             return 1.0
         if time_to_collision <= 0.0:
             return cfg.min_brake_scale
@@ -147,51 +153,54 @@ class PathTracker:
         dt: float,
         time_to_collision: float = math.inf,
     ) -> FlightCommandMsg:
-        """Compute the flight command for the current control period."""
+        """Compute the flight command for the current control period.
+
+        Computes with Python floats under the rules of :mod:`repro.sim.tickmath`.
+        """
         cfg = self.config
         if not waypoints:
             return FlightCommandMsg(vx=0.0, vy=0.0, vz=0.0, yaw_rate=0.0)
-        self._advance(waypoints, np.asarray(position, dtype=float), dt)
+        position = np.asarray(position, dtype=float)
+        self._advance(waypoints, position, dt)
         target = self.current_target(waypoints)
         if target is None:
             return FlightCommandMsg(vx=0.0, vy=0.0, vz=0.0, yaw_rate=0.0)
 
-        error = target.position() - np.asarray(position, dtype=float)
-        error[~np.isfinite(error)] = 0.0
-        command = np.array(
-            [
-                self.pid_x.update(float(error[0]), dt),
-                self.pid_y.update(float(error[1]), dt),
-                self.pid_z.update(float(error[2]), dt),
-            ]
-        )
-        feedforward = cfg.feedforward_gain * target.velocity()
-        feedforward[~np.isfinite(feedforward)] = 0.0
-        command += feedforward
-        # Bound the raw command before computing norms so that corrupted
-        # way-point velocities cannot overflow the clipping arithmetic.
-        command = np.clip(command, -1e6, 1e6)
+        # PID on the finite part of the position error, plus the finite part
+        # of the way-point velocity as feed-forward.
+        px, py, pz = position.tolist()
+        command = []
+        for pid, coordinate, p, v in (
+            (self.pid_x, target.x, px, target.vx),
+            (self.pid_y, target.y, py, target.vy),
+            (self.pid_z, target.z, pz, target.vz),
+        ):
+            error = float(coordinate) - p
+            u = pid.update(error if math.isfinite(error) else 0.0, dt)
+            feedforward = cfg.feedforward_gain * float(v)
+            # Bound the raw command before computing norms so that corrupted
+            # way-point velocities cannot overflow the clipping arithmetic.
+            command.append(
+                clip(u + (feedforward if math.isfinite(feedforward) else 0.0), -1e6, 1e6)
+            )
+        cx, cy, cz = command
 
-        horizontal_speed = float(np.linalg.norm(command[:2]))
+        horizontal_speed = norm(np.array((cx, cy)))
         if horizontal_speed > cfg.max_speed:
-            command[:2] *= cfg.max_speed / horizontal_speed
-        command[2] = float(np.clip(command[2], -cfg.max_vertical_speed, cfg.max_vertical_speed))
+            scale = cfg.max_speed / horizontal_speed
+            cx, cy = cx * scale, cy * scale
+        cz = clip(cz, -cfg.max_vertical_speed, cfg.max_vertical_speed)
 
         # Reactive braking on a predicted collision: slow down so the planner
         # has time to produce an avoiding trajectory.
-        command[:2] *= self.brake_scale(time_to_collision)
+        brake = self.brake_scale(time_to_collision)
+        cx, cy = cx * brake, cy * brake
 
-        target_yaw = target.yaw if np.isfinite(target.yaw) else yaw
-        yaw_error = float(np.arctan2(np.sin(target_yaw - yaw), np.cos(target_yaw - yaw)))
-        yaw_rate = float(
-            np.clip(cfg.yaw_gain * yaw_error, -cfg.max_yaw_rate, cfg.max_yaw_rate)
-        )
-        return FlightCommandMsg(
-            vx=float(command[0]),
-            vy=float(command[1]),
-            vz=float(command[2]),
-            yaw_rate=yaw_rate,
-        )
+        target_yaw = target.yaw if math.isfinite(target.yaw) else yaw
+        yaw_offset = target_yaw - yaw
+        yaw_error = float(np.arctan2(np.sin(yaw_offset), np.cos(yaw_offset)))
+        yaw_rate = clip(cfg.yaw_gain * yaw_error, -cfg.max_yaw_rate, cfg.max_yaw_rate)
+        return FlightCommandMsg(vx=float(cx), vy=float(cy), vz=float(cz), yaw_rate=float(yaw_rate))
 
 
 class ControlNode(KernelNode):

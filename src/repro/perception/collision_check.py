@@ -13,7 +13,7 @@ lead to re-planning or collisions".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +26,7 @@ from repro.rosmw.message import (
     OccupancyMapMsg,
     OdometryMsg,
 )
+from repro.sim.tickmath import norm
 
 
 @dataclass
@@ -86,25 +87,18 @@ class CollisionChecker:
         if self._tree is None:
             return float("inf")
         dist, _ = self._tree.query(np.asarray(position, dtype=float))
-        return float(max(dist - self._map_resolution / 2.0, 0.0))
+        return self._surface_distance(dist)
 
     def time_to_collision(self, position: np.ndarray, velocity: np.ndarray) -> float:
         """Time until the vehicle, continuing at ``velocity``, hits an obstacle."""
-        cfg = self.config
-        speed = float(np.linalg.norm(velocity))
-        if self._tree is None or speed < cfg.min_speed:
+        if self._tree is None:
             return float("inf")
-        direction = np.asarray(velocity, dtype=float) / speed
-        distances = np.arange(cfg.lookahead_step, speed * cfg.lookahead_time, cfg.lookahead_step)
-        if distances.size == 0:
+        lookahead = self._lookahead(np.asarray(position, dtype=float), velocity)
+        if lookahead is None:
             return float("inf")
-        samples = np.asarray(position, dtype=float)[None, :] + distances[:, None] * direction[None, :]
+        samples, distances, speed = lookahead
         hit_dists, _ = self._tree.query(samples)
-        blocked = hit_dists <= cfg.collision_clearance
-        if not blocked.any():
-            return float("inf")
-        first = float(distances[int(np.argmax(blocked))])
-        return first / speed
+        return self._first_hit_time(hit_dists, distances, speed)
 
     def trajectory_collides(
         self, waypoints: List, from_position: np.ndarray
@@ -112,15 +106,7 @@ class CollisionChecker:
         """Whether the remaining trajectory passes through occupied space."""
         if self._tree is None or not waypoints:
             return False
-        points = np.array([[w.x, w.y, w.z] for w in waypoints], dtype=float)
-        # Only check the part of the trajectory still ahead of the vehicle.
-        # Corrupted (non-finite) way-points are never the nearest one and are
-        # left out of the kd-tree query, which raises on non-finite points.
-        finite = np.all(np.isfinite(points), axis=1)
-        dists_to_vehicle = np.linalg.norm(points - np.asarray(from_position)[None, :], axis=1)
-        dists_to_vehicle[~finite] = np.inf
-        start_idx = int(np.argmin(dists_to_vehicle))
-        ahead = points[start_idx:][finite[start_idx:]]
+        ahead = self._points_ahead(waypoints, np.asarray(from_position, dtype=float))
         if ahead.size == 0:
             return False
         hit_dists, _ = self._tree.query(ahead)
@@ -132,17 +118,99 @@ class CollisionChecker:
         velocity: np.ndarray,
         waypoints: Optional[List] = None,
     ) -> CollisionCheckMsg:
-        """Produce one collision-check message."""
-        ttc = self.time_to_collision(position, velocity)
-        future_collision = self.trajectory_collides(waypoints or [], position)
+        """Produce one collision-check message.
+
+        The message equals composing :meth:`time_to_collision`,
+        :meth:`trajectory_collides` and :meth:`distance_to_nearest`, but the
+        position, the lookahead samples and the way-points ahead go to the
+        kd-tree in one query, which answers each point independently.
+        """
+        ttc = float("inf")
+        future_collision = False
+        closest = float("inf")
+        if self._tree is not None:
+            position = np.asarray(position, dtype=float)
+            lookahead = self._lookahead(position, velocity)
+            samples = lookahead[0] if lookahead is not None else _NO_POINTS
+            ahead = self._points_ahead(waypoints, position) if waypoints else _NO_POINTS
+            hit_dists, _ = self._tree.query(
+                np.concatenate((position[None, :], samples, ahead))
+            )
+            closest = self._surface_distance(hit_dists[0])
+            samples_end = 1 + len(samples)
+            if lookahead is not None:
+                _, distances, speed = lookahead
+                ttc = self._first_hit_time(hit_dists[1:samples_end], distances, speed)
+            future_collision = bool(
+                (hit_dists[samples_end:] <= self.config.collision_clearance).any()
+            )
         if future_collision and not self._last_future_collision:
             self.future_collision_seq += 1
         self._last_future_collision = future_collision
         return CollisionCheckMsg(
             time_to_collision=float(ttc),
             future_collision_seq=int(self.future_collision_seq),
-            closest_obstacle_distance=self.distance_to_nearest(position),
+            closest_obstacle_distance=closest,
         )
+
+    # --------------------------------------------------------------- helpers
+    def _surface_distance(self, dist: float) -> float:
+        """Voxel-centre distance from the kd-tree to distance to the voxel surface."""
+        return float(max(dist - self._map_resolution / 2.0, 0.0))
+
+    def _lookahead(
+        self, position: np.ndarray, velocity: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
+        """Samples along the velocity ray: ``(points, distances, speed)``.
+
+        ``None`` when the vehicle is slower than ``min_speed`` or the
+        lookahead holds no sample.
+        """
+        cfg = self.config
+        velocity = np.asarray(velocity, dtype=float)
+        speed = norm(velocity)
+        if speed < cfg.min_speed:
+            return None
+        distances = np.arange(cfg.lookahead_step, speed * cfg.lookahead_time, cfg.lookahead_step)
+        if distances.size == 0:
+            return None
+        samples = np.multiply.outer(distances, velocity / speed)
+        samples += position
+        return samples, distances, speed
+
+    def _first_hit_time(
+        self, hit_dists: np.ndarray, distances: np.ndarray, speed: float
+    ) -> float:
+        """Time to the first lookahead sample within the clearance, or inf."""
+        blocked = hit_dists <= self.config.collision_clearance
+        first = int(blocked.argmax())
+        if not blocked[first]:
+            return float("inf")
+        return float(distances[first]) / speed
+
+    @staticmethod
+    def _points_ahead(waypoints: List, from_position: np.ndarray) -> np.ndarray:
+        """The finite way-points from the one nearest ``from_position`` on.
+
+        Only the part of the trajectory still ahead of the vehicle is checked.
+        Corrupted (non-finite) way-points are never the nearest one and are
+        left out, because the kd-tree query raises on non-finite points.
+        """
+        points = np.array(
+            [c for w in waypoints for c in (w.x, w.y, w.z)], dtype=float
+        ).reshape(-1, 3)
+        finite = np.isfinite(points).all(axis=1)
+        offsets = points - from_position
+        # np.linalg.norm(offsets, axis=1), bit for bit; the square root stays
+        # because it can round two distances to a tie that argmin resolves.
+        dists_to_vehicle = np.sqrt(np.add.reduce(offsets * offsets, axis=1))
+        dists_to_vehicle[~finite] = np.inf
+        start_idx = int(dists_to_vehicle.argmin())
+        return points[start_idx:][finite[start_idx:]]
+
+
+#: An empty ``(0, 3)`` block for :meth:`CollisionChecker.compute`'s stacked query.
+_NO_POINTS = np.zeros((0, 3))
 
 
 class CollisionCheckNode(KernelNode):

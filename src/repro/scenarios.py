@@ -72,13 +72,14 @@ class Scenario:
 
     Use it anywhere a campaign is configured::
 
-        from repro.scenarios import Scenario, get_scenario
         from repro.core.campaign import Campaign, CampaignConfig
+        from repro.scenarios import Scenario
+        from repro.sim.wind import WindConfig
 
         campaign = Campaign(CampaignConfig(scenario="foggy-factory"))
         # or a custom one:
         custom = Scenario(name="my-gusts", environment="forest",
-                          wind=WindConfig(enabled=True, gust_intensity=2.0))
+                          wind=WindConfig(gust_intensity=2.0))
         Campaign(CampaignConfig(scenario=custom))
 
     ``env_seed=None`` (the default) inherits the campaign's ``env_seed``, so

@@ -19,6 +19,8 @@ This package provides the equivalent substrate:
   dropout/fog/quantization, IMU/odometry noise; scenario subsystem).
 * :mod:`repro.sim.airsim` -- the AirSim-interface node that publishes sensor
   topics, consumes flight commands and integrates the vehicle dynamics.
+* :mod:`repro.sim.tickmath` -- the norm and clip of the per-tick flight
+  loop, bit-identical to numpy's.
 """
 
 from repro.sim.airsim import AirSimInterfaceNode, FlightOutcome

@@ -28,6 +28,7 @@ from repro.rosmw.message import DepthImageMsg, FlightCommandMsg, ImuMsg, Odometr
 from repro.rosmw.node import Node
 from repro.sim.degradation import SensorDegradation
 from repro.sim.sensors import CameraConfig, DepthCamera, Imu, OdometrySensor
+from repro.sim.tickmath import norm
 from repro.sim.vehicle import QuadrotorDynamics, QuadrotorParams, QuadrotorState
 from repro.sim.world import World
 
@@ -164,13 +165,12 @@ class AirSimInterfaceNode(Node):
         if self._physics_steps % self._trajectory_stride == 0:
             self.outcome.trajectory.append(state.position.copy())
 
-        goal = self._route[-1]
-        self.outcome.final_distance_to_goal = float(
-            np.linalg.norm(state.position - goal)
-        )
-        target = self._route[self._route_index]
-        distance_to_target = float(np.linalg.norm(state.position - target))
+        self.outcome.final_distance_to_goal = norm(state.position - self._route[-1])
         at_final = self._route_index == len(self._route) - 1
+        if at_final:
+            distance_to_target = self.outcome.final_distance_to_goal
+        else:
+            distance_to_target = norm(state.position - self._route[self._route_index])
         capture = self.mission.goal_tolerance * (
             1.0 if at_final else self.mission.waypoint_capture_factor
         )

@@ -13,6 +13,7 @@ generators, keeping missions bit-reproducible across processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -43,6 +44,20 @@ class SensorDegradationConfig:
     odometry_velocity_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        # A NaN passes every ``< 0`` check below and then silently turns its
+        # degradation off (``enabled`` compares with ``> 0``) or makes every
+        # sample NaN, so non-finite values are rejected first.
+        for name in (
+            "depth_dropout",
+            "depth_quantization",
+            "depth_range_scale",
+            "imu_noise_scale",
+            "odometry_position_noise",
+            "odometry_velocity_noise",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.depth_dropout < 1.0:
             raise ValueError(
                 f"depth_dropout must be in [0, 1), got {self.depth_dropout}"
@@ -55,10 +70,10 @@ class SensorDegradationConfig:
             raise ValueError(
                 f"depth_range_scale must be in (0, 1], got {self.depth_range_scale}"
             )
-        if self.imu_noise_scale < 0:
-            raise ValueError(
-                f"imu_noise_scale must be >= 0, got {self.imu_noise_scale}"
-            )
+        for name in ("imu_noise_scale", "odometry_position_noise", "odometry_velocity_noise"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def enabled(self) -> bool:

@@ -114,9 +114,11 @@ class Imu:
         self._last_velocity = state.velocity.copy()
         self._last_time = state.time
         noisy_accel = accel + self._rng.normal(0.0, self.config.accel_noise_std, 3)
-        noisy_gyro = np.array([0.0, 0.0, state.yaw_rate]) + self._rng.normal(
-            0.0, self.config.gyro_noise_std, 3
-        )
+        # The gyro reads (0, 0, yaw_rate) plus noise.  A normal draw is
+        # computed as 0.0 + scale * z, so it is never -0.0 and adding the
+        # zero x and y rates would leave it unchanged.
+        noisy_gyro = self._rng.normal(0.0, self.config.gyro_noise_std, 3)
+        noisy_gyro[2] = state.yaw_rate + noisy_gyro[2]
         return ImuMsg(
             linear_acceleration=noisy_accel,
             angular_velocity=noisy_gyro,
@@ -141,10 +143,13 @@ class OdometrySensor:
 
     def measure(self, state: QuadrotorState) -> OdometryMsg:
         """Produce an odometry sample from the current vehicle state."""
-        position = state.position.copy()
-        velocity = state.velocity.copy()
-        if self.config.position_noise_std > 0:
-            position = position + self._rng.normal(0.0, self.config.position_noise_std, 3)
-        if self.config.velocity_noise_std > 0:
-            velocity = velocity + self._rng.normal(0.0, self.config.velocity_noise_std, 3)
+        cfg = self.config
+        if cfg.position_noise_std > 0:
+            position = state.position + self._rng.normal(0.0, cfg.position_noise_std, 3)
+        else:
+            position = state.position.copy()
+        if cfg.velocity_noise_std > 0:
+            velocity = state.velocity + self._rng.normal(0.0, cfg.velocity_noise_std, 3)
+        else:
+            velocity = state.velocity.copy()
         return OdometryMsg(position=position, velocity=velocity, yaw=float(state.yaw))

@@ -11,10 +11,13 @@ clipped rather than teleporting the vehicle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.sim.tickmath import clip, norm
 
 
 @dataclass
@@ -99,26 +102,25 @@ class QuadrotorDynamics:
         self.energy_used = 0.0
 
     # ---------------------------------------------------------------- helpers
-    def _sanitize_command(self, command: np.ndarray) -> np.ndarray:
+    def _sanitize_command(self, command: np.ndarray) -> Tuple[float, float, float]:
         """Clip a (possibly corrupted) commanded velocity to the flight envelope.
 
         Non-finite components are treated as zero: a NaN or inf command would
         otherwise poison the whole state, whereas a real flight controller
         rejects such set-points.
         """
-        cmd = np.asarray(command, dtype=float).copy()
-        cmd[~np.isfinite(cmd)] = 0.0
+        p = self.params
         # Bound extreme (possibly corrupted) set-points before computing the
         # norm so the clipping arithmetic cannot overflow.
-        cmd = np.clip(cmd, -1e6, 1e6)
-        horizontal = cmd[:2]
-        h_speed = float(np.linalg.norm(horizontal))
-        if h_speed > self.params.max_speed:
-            cmd[:2] = horizontal * (self.params.max_speed / h_speed)
-        cmd[2] = float(
-            np.clip(cmd[2], -self.params.max_vertical_speed, self.params.max_vertical_speed)
-        )
-        return cmd
+        x, y, z = [
+            clip(v, -1e6, 1e6) if math.isfinite(v) else 0.0
+            for v in np.asarray(command, dtype=float).tolist()
+        ]
+        h_speed = norm(np.array((x, y)))
+        if h_speed > p.max_speed:
+            scale = p.max_speed / h_speed
+            x, y = x * scale, y * scale
+        return x, y, clip(z, -p.max_vertical_speed, p.max_vertical_speed)
 
     # ------------------------------------------------------------------- step
     def step(
@@ -127,43 +129,51 @@ class QuadrotorDynamics:
         commanded_yaw_rate: float,
         dt: float,
     ) -> QuadrotorState:
-        """Integrate the dynamics for ``dt`` seconds under the given command."""
+        """Integrate the dynamics for ``dt`` seconds under the given command.
+
+        Computes with Python floats under the rules of :mod:`repro.sim.tickmath`.
+        """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         p = self.params
-        cmd = self._sanitize_command(np.asarray(commanded_velocity, dtype=float))
+        cx, cy, cz = self._sanitize_command(commanded_velocity)
+        vx, vy, vz = self.state.velocity.tolist()
 
         # First-order tracking of the velocity command, acceleration limited.
-        accel = (cmd - self.state.velocity) / p.velocity_time_constant
-        accel_norm = float(np.linalg.norm(accel))
+        tau = p.velocity_time_constant
+        ax, ay, az = (cx - vx) / tau, (cy - vy) / tau, (cz - vz) / tau
+        accel_norm = norm(np.array((ax, ay, az)))
         if accel_norm > p.max_acceleration:
-            accel = accel * (p.max_acceleration / accel_norm)
-        new_velocity = self.state.velocity + accel * dt
+            scale = p.max_acceleration / accel_norm
+            ax, ay, az = ax * scale, ay * scale, az * scale
+        nx, ny, nz = vx + ax * dt, vy + ay * dt, vz + az * dt
 
         # Envelope limits on the resulting velocity.
-        h_speed = float(np.linalg.norm(new_velocity[:2]))
+        h_speed = norm(np.array((nx, ny)))
         if h_speed > p.max_speed:
-            new_velocity[:2] *= p.max_speed / h_speed
-        new_velocity[2] = float(
-            np.clip(new_velocity[2], -p.max_vertical_speed, p.max_vertical_speed)
-        )
+            scale = p.max_speed / h_speed
+            nx, ny = nx * scale, ny * scale
+        nz = clip(nz, -p.max_vertical_speed, p.max_vertical_speed)
+        new_velocity = np.array((nx, ny, nz))
 
-        displacement = (self.state.velocity + new_velocity) / 2.0 * dt
+        dx, dy, dz = (vx + nx) / 2.0 * dt, (vy + ny) / 2.0 * dt, (vz + nz) / 2.0 * dt
         if self.wind_model is not None:
             # The air mass carries the vehicle: wind adds a drift on top of
             # the air-relative velocity the controller commands.  The control
             # loop only sees the resulting position error through odometry and
             # compensates by feedback, as a real velocity controller would.
-            displacement = displacement + self.wind_model.sample(dt) * dt
+            wx, wy, wz = self.wind_model.sample(dt).tolist()
+            dx, dy, dz = dx + wx * dt, dy + wy * dt, dz + wz * dt
+        displacement = np.array((dx, dy, dz))
         new_position = self.state.position + displacement
 
-        if not np.isfinite(commanded_yaw_rate):
+        if not math.isfinite(commanded_yaw_rate):
             commanded_yaw_rate = 0.0
-        yaw_rate = float(np.clip(commanded_yaw_rate, -p.max_yaw_rate, p.max_yaw_rate))
+        yaw_rate = clip(float(commanded_yaw_rate), -p.max_yaw_rate, p.max_yaw_rate)
         new_yaw = _wrap_angle(self.state.yaw + yaw_rate * dt)
 
-        self.distance_travelled += float(np.linalg.norm(displacement))
-        self.energy_used += self.power(float(np.linalg.norm(new_velocity))) * dt
+        self.distance_travelled += norm(displacement)
+        self.energy_used += self.power(norm(new_velocity)) * dt
 
         self.state = QuadrotorState(
             position=new_position,

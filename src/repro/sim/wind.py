@@ -14,6 +14,7 @@ bit-identity guarantee of the campaign engine rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -40,6 +41,14 @@ class WindConfig:
     def __post_init__(self) -> None:
         if len(self.mean) != 3:
             raise ValueError(f"mean wind must have 3 components, got {self.mean!r}")
+        # A non-finite value reaches every physics step's displacement (or,
+        # as a NaN gust_intensity, silently turns the gusts off).
+        if not all(math.isfinite(v) for v in self.mean):
+            raise ValueError(f"mean wind must be finite, got {self.mean!r}")
+        for name in ("gust_intensity", "gust_time_constant", "vertical_fraction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gust_intensity < 0:
             raise ValueError(f"gust_intensity must be >= 0, got {self.gust_intensity}")
         if self.gust_time_constant <= 0:

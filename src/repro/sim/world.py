@@ -16,6 +16,7 @@ All queries are vectorised over obstacles with numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -119,10 +120,13 @@ class World:
 
     def in_bounds(self, point: Sequence[float], margin: float = 0.0) -> bool:
         """Whether ``point`` lies inside the world bounds (shrunk by ``margin``)."""
-        p = np.asarray(point, dtype=float)
-        lo = np.asarray(self.bounds_lo) + margin
-        hi = np.asarray(self.bounds_hi) - margin
-        return bool(np.all(p >= lo) and np.all(p <= hi))
+        x, y, z = np.asarray(point, dtype=float).tolist()
+        (lx, ly, lz), (hx, hy, hz) = self.bounds_lo, self.bounds_hi
+        return (
+            lx + margin <= x <= hx - margin
+            and ly + margin <= y <= hy - margin
+            and lz + margin <= z <= hz - margin
+        )
 
     # ------------------------------------------------------------ collisions
     def point_collides(self, point: Sequence[float], inflation: float = 0.0) -> bool:
@@ -148,9 +152,14 @@ class World:
         if self.num_obstacles == 0:
             return float("inf")
         p = np.asarray(point, dtype=float)
-        closest = np.clip(p, self._lo, self._hi)
-        dists = np.linalg.norm(closest - p, axis=1)
-        return float(dists.min())
+        # The squared offsets to the closest surface points, summed as
+        # np.linalg.norm(..., axis=1) sums them.  maximum/minimum differ from
+        # np.clip only in the sign of a zero, which squaring drops, and the
+        # square root, being monotone, may be taken once, of the minimum.
+        offset = np.minimum(np.maximum(p, self._lo), self._hi)
+        offset -= p
+        offset *= offset
+        return math.sqrt(np.add.reduce(offset, axis=1).min())
 
     def segment_collides(
         self,

@@ -3,7 +3,9 @@ multi-waypoint missions and end-to-end campaign integration."""
 
 from __future__ import annotations
 
+import inspect
 import pickle
+import textwrap
 
 import numpy as np
 import pytest
@@ -93,6 +95,33 @@ class TestRegistry:
         assert other.canonical() != a
 
 
+def _literal_block(doc: str, marker: str) -> str:
+    """The indented literal block that follows ``marker`` in a docstring."""
+    block = []
+    for line in doc.split(marker, 1)[1].splitlines()[1:]:
+        if line and not line.startswith("    "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+class TestDocumentedCustomScenario:
+    def test_docstring_example_runs_and_generates_specs(self):
+        # The Scenario docstring's example is the documented custom-scenario
+        # flow; run it as written, then generate the campaign's specs.
+        namespace: dict = {}
+        exec(_literal_block(inspect.getdoc(Scenario), "is configured::"), namespace)
+        custom = namespace["custom"]
+        assert custom.wind.enabled and custom.wind.gust_intensity == 2.0
+
+        campaign = Campaign(CampaignConfig(scenario=custom, num_golden=2))
+        specs = campaign.evaluation_specs()
+        assert specs and all(spec.effective_scenario() is custom for spec in specs)
+        plain = Campaign(CampaignConfig(num_golden=2)).evaluation_specs()
+        assert len(plain) == len(specs)
+        assert {spec.key() for spec in specs}.isdisjoint(spec.key() for spec in plain)
+
+
 class TestWindModel:
     def test_disabled_by_default(self):
         assert not WindConfig().enabled
@@ -128,6 +157,25 @@ class TestWindModel:
             WindConfig(gust_intensity=-1.0)
         with pytest.raises(ValueError):
             WindConfig(gust_time_constant=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gust_time_constant", float("nan")),
+            ("gust_time_constant", float("inf")),
+            ("gust_intensity", float("nan")),
+            ("gust_intensity", float("inf")),
+            ("vertical_fraction", float("nan")),
+            ("mean", (float("nan"), 0.0, 0.0)),
+            ("mean", (0.0, float("inf"), 0.0)),
+            ("mean", (0.0, 0.0, -float("inf"))),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        # Accepted, a NaN or inf would reach every physics step's
+        # displacement, and a NaN intensity would turn the gusts off.
+        with pytest.raises(ValueError, match="mean wind" if field == "mean" else field):
+            WindConfig(**{field: value})
 
     def test_wind_drifts_the_vehicle(self):
         calm = QuadrotorDynamics()
@@ -204,6 +252,26 @@ class TestSensorDegradation:
             SensorDegradationConfig(depth_dropout=1.5)
         with pytest.raises(ValueError):
             SensorDegradationConfig(depth_range_scale=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("odometry_position_noise", -0.1),
+            ("odometry_position_noise", float("nan")),
+            ("odometry_position_noise", float("inf")),
+            ("odometry_velocity_noise", -0.1),
+            ("odometry_velocity_noise", float("nan")),
+            ("depth_quantization", float("nan")),
+            ("depth_quantization", float("inf")),
+            ("imu_noise_scale", float("nan")),
+            ("imu_noise_scale", float("inf")),
+        ],
+    )
+    def test_disabling_or_poisoning_values_rejected(self, field, value):
+        # Accepted, a negative or NaN noise or a NaN quantization would read
+        # as "disabled", and a NaN IMU scale would make every sample NaN.
+        with pytest.raises(ValueError, match=field):
+            SensorDegradationConfig(**{field: value})
 
 
 class TestBuilderThreading:
