@@ -9,7 +9,7 @@ floor so a noisy shared CI runner cannot flake it.  The hard acceptance gates
 -- >=3x cached+checkpointed, >=1.2x parallel-vs-baseline, parallel never
 losing to serial-checkpointed -- apply to the *committed* repo-root
 ``BENCH_campaign.json``, which is validated here statically on every tier-1
-run.  Both bench schemas (v1 and v2) must round-trip through the validator.
+run.
 """
 
 import json
@@ -19,13 +19,11 @@ import pytest
 
 from repro.bench import (
     CAMPAIGN_BENCH_SCHEMA,
-    CAMPAIGN_BENCH_SCHEMA_V1,
     format_campaign_table,
     parse_worker_list,
     run_campaign_bench,
     validate_campaign_report,
     validate_campaign_report_file,
-    write_campaign_report,
 )
 
 from conftest import print_artifact
@@ -91,10 +89,10 @@ def test_committed_campaign_report_meets_the_acceptance_gates():
     assert all(entry["duplicate_cursor_builds"] == 0 for entry in curve)
 
 
-def test_v1_reports_still_validate(tmp_path):
-    """The previous schema keeps round-tripping through the validator."""
+def test_v1_reports_are_rejected():
+    """The v1 schema is no longer read, and a v1-shaped report cannot claim v2."""
     v1 = {
-        "schema": CAMPAIGN_BENCH_SCHEMA_V1,
+        "schema": "repro-campaign-bench-v1",
         "created_unix": 1700000000.0,
         "host": {"platform": "test"},
         "workload": {"environment": "factory", "specs": 38, "smoke": False,
@@ -113,14 +111,10 @@ def test_v1_reports_still_validate(tmp_path):
         "checkpoint": {"forks": 36},
         "bit_identical": True,
     }
-    validate_campaign_report(v1)  # no scaling section required for v1
-    out = tmp_path / "v1.json"
-    write_campaign_report(v1, out)
-    loaded = validate_campaign_report_file(out)
-    assert loaded["schema"] == CAMPAIGN_BENCH_SCHEMA_V1
-    # ...but a v1 report must not claim the v2 schema.
+    with pytest.raises(ValueError, match="schema must be 'repro-campaign-bench-v2'"):
+        validate_campaign_report(v1)
     promoted = dict(v1, schema=CAMPAIGN_BENCH_SCHEMA)
-    with pytest.raises(ValueError, match="v2 campaign bench report must time"):
+    with pytest.raises(ValueError, match="invalid repro-campaign-bench-v2 report"):
         validate_campaign_report(promoted)
 
 
@@ -177,6 +171,20 @@ def test_malformed_campaign_reports_rejected(tmp_path):
     tampered["modes"]["serial_scratch"]["wall_s"] = 0.0
     with pytest.raises(ValueError):
         validate_campaign_report(tampered)
+    # Holes the hand-written validator left open: missing keys, bools
+    # standing in for numbers and unknown keys.
+    for mutate in (
+        lambda r: r["modes"]["serial_scratch"].pop("workers"),
+        lambda r: r["workload"].pop("environment"),
+        lambda r: r["modes"]["serial_scratch"].update(specs=True),
+        lambda r: r["scaling"].update(cpu_count=True),
+        lambda r: r["scaling"]["curve"][0].update(forks=False),
+        lambda r: r["speedups"].update(extra=1.0),
+    ):
+        tampered = json.loads(COMMITTED_REPORT.read_text())
+        mutate(tampered)
+        with pytest.raises(ValueError, match="invalid repro-campaign-bench-v2 report"):
+            validate_campaign_report(tampered)
 
 
 def test_v2_bookkeeping_fields_are_validated():

@@ -8,6 +8,7 @@ shared CI runner cannot flake this test.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.bench import (
 )
 
 from conftest import print_artifact
+
+COMMITTED_REPORT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
 @pytest.mark.smoke
@@ -86,3 +89,19 @@ def test_malformed_reports_rejected(tmp_path):
     report["kernels"]["occupancy_integration"]["vector"]["best_ms"] = float("nan")
     with pytest.raises(ValueError):
         validate_report(report)
+    # Holes the hand-written validator left open.
+    for mutate in (
+        lambda r: r.update(created_unix="x"),
+        lambda r: r["kernels"]["occupancy_integration"]["vector"].update(repeats=True),
+        lambda r: r["kernels"]["occupancy_integration"]["vector"].pop("calls_per_run"),
+    ):
+        tampered = json.loads(out.read_text())
+        mutate(tampered)
+        with pytest.raises(ValueError, match="invalid repro-bench-v1 report"):
+            validate_report(tampered)
+
+
+def test_committed_hotpath_report_validates():
+    """The committed BENCH_hotpath.json passes the strict validator as it is."""
+    report = validate_report_file(COMMITTED_REPORT)
+    assert report["workload"]["smoke"] is False

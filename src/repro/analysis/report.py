@@ -50,6 +50,7 @@ from repro.core.qof import (
     worst_case_recovery,
 )
 from repro.core.results import JsonlResultStore, mission_result_from_dict
+from repro.core import shape
 from repro.pipeline.runner import MissionResult
 from repro.version import __version__
 
@@ -264,7 +265,8 @@ class StreamingAggregator:
        corrected result) is disqualified; among the remaining candidates the
        lexicographically largest canonical-JSON SHA-1 digest wins (pure
        tie-break, so genuinely conflicting shards still merge
-       deterministically).  Only per-key digest sets are retained.
+       deterministically; such keys are counted in ``conflicting_keys``).
+       Only per-key digest sets are retained.
     2. **Aggregation** -- each key's winning record is parsed into a
        :class:`~repro.pipeline.runner.MissionResult` once, folded into its
        group's :class:`GroupAggregate` and dropped.  Keys with a single
@@ -290,6 +292,9 @@ class StreamingAggregator:
         ]
         self.total_records = 0
         self.unique_missions = 0
+        #: Spec keys whose winner the digest tie-break had to pick: records
+        #: that still differ after superseded ones are removed.
+        self.conflicting_keys = 0
         self.groups: Dict[GroupKey, GroupAggregate] = {}
         #: One detection accumulator per (environment, scenario, detector).
         self.detection: Dict[Tuple[str, str, str], DetectionAccumulator] = {}
@@ -355,14 +360,18 @@ class StreamingAggregator:
                     superseded.setdefault(key, set()).update(stale)
         winners: Dict[str, str] = {}
         contested = set()
+        conflicting = set()
         for key, shard_lasts in candidates.items():
             if len(shard_lasts | superseded.get(key, set())) > 1:
                 contested.add(key)
-            eligible = shard_lasts - superseded.get(key, set())
             # All candidates superseded (shards overriding each other in a
             # cycle): fall back to the pure tie-break over all of them.
-            winners[key] = max(eligible) if eligible else max(shard_lasts)
+            eligible = (shard_lasts - superseded.get(key, set())) or shard_lasts
+            if len(eligible) > 1:
+                conflicting.add(key)
+            winners[key] = max(eligible)
         self.unique_missions = len(winners)
+        self.conflicting_keys = len(conflicting)
         self.winner_keys = set(winners)
         failure_records.sort(key=lambda item: item[0])
         self.failures = [payload for _, payload in failure_records]
@@ -635,6 +644,7 @@ def build_report(
             "total": aggregator.total_records,
             "unique": aggregator.unique_missions,
             "duplicates_dropped": aggregator.duplicates_dropped,
+            "conflicting_keys": aggregator.conflicting_keys,
         },
         "bootstrap": {
             "confidence": confidence,
@@ -655,290 +665,198 @@ def build_report(
 
 
 # ------------------------------------------------------------------- validator
+#: Sorted-sample summaries (``_sorted_stats``); null for an empty sample.
+_STATS = shape.Nullable(
+    shape.Obj(
+        count=shape.POSITIVE_INT,
+        min=shape.FINITE,
+        max=shape.FINITE,
+        mean=shape.FINITE,
+        median=shape.FINITE,
+    )
+)
+_INTERVAL = shape.Obj(
+    value=shape.MAYBE_FINITE,
+    lower=shape.MAYBE_FINITE,
+    upper=shape.MAYBE_FINITE,
+    confidence=shape.PROBABILITY,
+    samples=shape.COUNT,
+)
+_GROUP = shape.Obj(
+    setting=shape.STR,
+    scenario=shape.STR,
+    environment=shape.STR,
+    detector=shape.STR,
+    qof=shape.Obj(
+        num_runs=shape.COUNT,
+        num_success=shape.COUNT,
+        num_injected=shape.COUNT,
+        success_rate=shape.FRACTION,
+        mean_flight_time=shape.MAYBE_FINITE,
+        worst_flight_time=shape.MAYBE_FINITE,
+        best_flight_time=shape.MAYBE_FINITE,
+        mean_energy=shape.MAYBE_FINITE,
+        worst_energy=shape.MAYBE_FINITE,
+        fell_back_to_failures=shape.BOOL,
+    ),
+    confidence=shape.Obj(
+        success_rate=_INTERVAL,
+        mean_flight_time=_INTERVAL,
+        worst_flight_time=_INTERVAL,
+        mean_energy=_INTERVAL,
+    ),
+    flight_time_distribution=shape.Nullable(
+        shape.Obj(
+            count=shape.POSITIVE_INT,
+            min=shape.FINITE,
+            q1=shape.FINITE,
+            median=shape.FINITE,
+            q3=shape.FINITE,
+            max=shape.FINITE,
+            mean=shape.FINITE,
+        )
+    ),
+    trajectory=shape.Obj(
+        runs=shape.COUNT,
+        path_length=_STATS,
+        detour_ratio=_STATS,
+        max_lateral_deviation=_STATS,
+        replans_total=shape.COUNT,
+    ),
+    detection=shape.Obj(
+        checked_samples=shape.COUNT,
+        alarms=shape.COUNT,
+        runs_with_alarm=shape.COUNT,
+        alarms_by_stage=shape.MapOf(shape.COUNT),
+        first_alarm_time=_STATS,
+    ),
+    overhead=shape.Nullable(
+        shape.Obj(
+            detector=shape.STR,
+            detection_fraction=shape.MapOf(shape.FINITE),
+            recovery_fraction=shape.MapOf(shape.FINITE),
+            total_overhead=shape.FINITE,
+            total_compute_time=shape.FINITE,
+        )
+    ),
+)
+_ACCURACY_ROW = shape.Obj(
+    environment=shape.STR,
+    scenario=shape.STR,
+    detector=shape.STR,
+    golden_runs=shape.COUNT,
+    golden_runs_with_alarm=shape.COUNT,
+    golden_checked_samples=shape.COUNT,
+    golden_alarms=shape.COUNT,
+    injected_runs=shape.COUNT,
+    injected_runs_with_alarm=shape.COUNT,
+    injected_checked_samples=shape.COUNT,
+    run_fpr=shape.MAYBE_FINITE,
+    sample_fpr=shape.MAYBE_FINITE,
+    tpr=shape.MAYBE_FINITE,
+    precision=shape.MAYBE_FINITE,
+    mean_time_to_detect=shape.MAYBE_FINITE,
+    per_stage=shape.MapOf(
+        shape.Obj(
+            injected_runs=shape.COUNT,
+            detected_runs=shape.COUNT,
+            localized_runs=shape.COUNT,
+            tpr=shape.MAYBE_FINITE,
+            localization_rate=shape.MAYBE_FINITE,
+            mean_time_to_detect=shape.MAYBE_FINITE,
+        )
+    ),
+)
+REPORT_SHAPE = shape.Obj(
+    schema=shape.Literal(REPORT_SCHEMA),
+    generator=shape.STR,
+    title=shape.STR,
+    shards=shape.ListOf(shape.STR),
+    records=shape.Obj(
+        total=shape.COUNT,
+        unique=shape.COUNT,
+        duplicates_dropped=shape.COUNT,
+        conflicting_keys=shape.COUNT,
+    ),
+    bootstrap=shape.Obj(
+        confidence=shape.PROBABILITY,
+        resamples=shape.POSITIVE_INT,
+        seed=shape.INT,
+    ),
+    groups=shape.ListOf(_GROUP),
+    detection_accuracy=shape.ListOf(_ACCURACY_ROW),
+    recovery=shape.ListOf(
+        shape.Obj(
+            environment=shape.STR,
+            scenario=shape.STR,
+            setting=shape.STR,
+            detector=shape.STR,
+            worst_case_recovery=shape.MAYBE_FINITE,
+            failure_recovery_rate=shape.MAYBE_FINITE,
+        )
+    ),
+    harness_failures=shape.Obj(
+        total=shape.COUNT,
+        rows=shape.ListOf(
+            shape.Obj(
+                setting=shape.STR,
+                error_type=shape.STR,
+                outcome=shape.STR,
+                count=shape.POSITIVE_INT,
+            )
+        ),
+        specs_quarantined=shape.COUNT,
+        specs_failed=shape.COUNT,
+        specs_recovered=shape.COUNT,
+    ),
+    shard_health=shape.ListOf(
+        shape.Obj(
+            path=shape.STR,
+            intact=shape.COUNT,
+            failures=shape.COUNT,
+            torn=shape.COUNT,
+            corrupt=shape.COUNT,
+        )
+    ),
+)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"invalid {REPORT_SCHEMA} report: {message}")
 
 
-def _check_optional_number(value, label: str) -> None:
-    if value is None:
-        return
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and math.isfinite(value),
-        f"{label} must be a finite number or null, got {value!r}",
-    )
-
-
-def _check_optional_stats(value, label: str) -> None:
-    """A sorted-sample summary object (``_sorted_stats`` and friends) or null."""
-    if value is None:
-        return
-    _require(isinstance(value, dict), f"{label} must be an object or null")
-    _require(
-        isinstance(value.get("count"), int) and value["count"] > 0,
-        f"{label}.count must be a positive integer",
-    )
-    for field_name, number in value.items():
-        if field_name == "count":
-            continue
-        _check_optional_number(number, f"{label}.{field_name}")
-
-
-def _check_stage_counter_map(value, label: str) -> None:
-    """A ``{stage: non-negative int}`` map (alarms_by_stage and friends)."""
-    _require(isinstance(value, dict), f"{label} must be an object")
-    for stage, count in value.items():
-        _require(isinstance(stage, str), f"{label} keys must be strings")
-        _require(
-            isinstance(count, int) and count >= 0,
-            f"{label}.{stage} must be a non-negative integer",
-        )
-
-
 def validate_report(report: Dict) -> None:
     """Validate a ``repro-report-v1`` dict; raises ``ValueError`` when malformed.
 
-    Mirrors the bench-report validators: schema marker, record accounting,
-    per-group QoF/confidence/detection shapes with finite-or-null numbers,
-    and the detection-accuracy and recovery row lists.
+    Checks the declared :data:`REPORT_SHAPE`, then what a shape cannot say:
+    the record accounting, sorted shards, successes within runs and the
+    harness-failure row sum.
     """
-    _require(isinstance(report, dict), "report must be a JSON object")
-    _require(
-        report.get("schema") == REPORT_SCHEMA,
-        f"schema must be {REPORT_SCHEMA!r}, got {report.get('schema')!r}",
-    )
-    for field_name in ("generator", "title"):
-        _require(
-            isinstance(report.get(field_name), str),
-            f"'{field_name}' must be a string",
-        )
-    bootstrap = report.get("bootstrap")
-    _require(isinstance(bootstrap, dict), "missing 'bootstrap' settings object")
-    confidence_level = bootstrap.get("confidence")
-    _require(
-        isinstance(confidence_level, (int, float))
-        and 0.0 < float(confidence_level) < 1.0,
-        "bootstrap.confidence must be in (0, 1)",
-    )
-    _require(
-        isinstance(bootstrap.get("resamples"), int) and bootstrap["resamples"] > 0,
-        "bootstrap.resamples must be a positive integer",
-    )
-    _require(
-        isinstance(bootstrap.get("seed"), int),
-        "bootstrap.seed must be an integer",
-    )
-    records = report.get("records")
-    _require(isinstance(records, dict), "missing 'records' accounting object")
-    for field_name in ("total", "unique", "duplicates_dropped"):
-        value = records.get(field_name)
-        _require(
-            isinstance(value, int) and value >= 0,
-            f"records.{field_name} must be a non-negative integer",
-        )
+    shape.check_shape(REPORT_SHAPE, report, f"invalid {REPORT_SCHEMA} report")
+    records = report["records"]
     _require(
         records["total"] == records["unique"] + records["duplicates_dropped"],
         "records.total must equal unique + duplicates_dropped",
     )
-    shards = report.get("shards")
     _require(
-        isinstance(shards, list) and all(isinstance(s, str) for s in shards),
-        "'shards' must be a list of path strings",
+        records["conflicting_keys"] <= records["unique"],
+        "records.conflicting_keys must not exceed records.unique",
     )
-    _require(shards == sorted(shards), "'shards' must be sorted (determinism)")
-
-    groups = report.get("groups")
-    _require(isinstance(groups, list), "'groups' must be a list")
-    for i, group in enumerate(groups):
-        label = f"groups[{i}]"
-        _require(isinstance(group, dict), f"{label} must be an object")
-        for field_name in ("setting", "scenario", "environment"):
-            _require(
-                isinstance(group.get(field_name), str),
-                f"{label}.{field_name} must be a string",
-            )
-        qof = group.get("qof")
-        _require(isinstance(qof, dict), f"{label}.qof must be an object")
-        for field_name in ("num_runs", "num_success", "num_injected"):
-            _require(
-                isinstance(qof.get(field_name), int) and qof[field_name] >= 0,
-                f"{label}.qof.{field_name} must be a non-negative integer",
-            )
-        _require(
-            isinstance(qof.get("fell_back_to_failures"), bool),
-            f"{label}.qof.fell_back_to_failures must be a boolean",
-        )
-        _require(
-            qof["num_success"] <= qof["num_runs"],
-            f"{label}.qof cannot have more successes than runs",
-        )
-        rate = qof.get("success_rate")
-        _require(
-            isinstance(rate, (int, float)) and 0.0 <= float(rate) <= 1.0,
-            f"{label}.qof.success_rate must be in [0, 1]",
-        )
-        for field_name in (
-            "mean_flight_time",
-            "worst_flight_time",
-            "best_flight_time",
-            "mean_energy",
-            "worst_energy",
-        ):
-            _check_optional_number(qof.get(field_name), f"{label}.qof.{field_name}")
-        intervals = group.get("confidence")
-        _require(isinstance(intervals, dict), f"{label}.confidence must be an object")
-        for name, ci in intervals.items():
-            _require(isinstance(ci, dict), f"{label}.confidence.{name} must be an object")
-            for field_name in ("value", "lower", "upper"):
-                _check_optional_number(
-                    ci.get(field_name), f"{label}.confidence.{name}.{field_name}"
-                )
-            _require(
-                isinstance(ci.get("samples"), int) and ci["samples"] >= 0,
-                f"{label}.confidence.{name}.samples must be a non-negative integer",
-            )
-        _check_optional_stats(
-            group.get("flight_time_distribution"),
-            f"{label}.flight_time_distribution",
-        )
-        trajectory = group.get("trajectory")
-        _require(isinstance(trajectory, dict), f"{label}.trajectory must be an object")
-        for field_name in ("runs", "replans_total"):
-            _require(
-                isinstance(trajectory.get(field_name), int)
-                and trajectory[field_name] >= 0,
-                f"{label}.trajectory.{field_name} must be a non-negative integer",
-            )
-        for field_name in ("path_length", "detour_ratio", "max_lateral_deviation"):
-            _check_optional_stats(
-                trajectory.get(field_name), f"{label}.trajectory.{field_name}"
-            )
-        detection = group.get("detection")
-        _require(isinstance(detection, dict), f"{label}.detection must be an object")
-        for field_name in ("checked_samples", "alarms", "runs_with_alarm"):
-            _require(
-                isinstance(detection.get(field_name), int)
-                and detection[field_name] >= 0,
-                f"{label}.detection.{field_name} must be a non-negative integer",
-            )
-        _check_stage_counter_map(
-            detection.get("alarms_by_stage"), f"{label}.detection.alarms_by_stage"
-        )
-        _check_optional_stats(
-            detection.get("first_alarm_time"),
-            f"{label}.detection.first_alarm_time",
-        )
-        overhead = group.get("overhead")
-        if overhead is not None:
-            _require(isinstance(overhead, dict), f"{label}.overhead must be an object")
-            _require(
-                isinstance(overhead.get("detector"), str),
-                f"{label}.overhead.detector must be a string",
-            )
-            for field_name in ("total_overhead", "total_compute_time"):
-                _check_optional_number(
-                    overhead.get(field_name), f"{label}.overhead.{field_name}"
-                )
-            for side in ("detection_fraction", "recovery_fraction"):
-                fractions = overhead.get(side)
-                _require(
-                    isinstance(fractions, dict),
-                    f"{label}.overhead.{side} must be an object",
-                )
-                for stage, fraction in fractions.items():
-                    _check_optional_number(
-                        fraction, f"{label}.overhead.{side}.{stage}"
-                    )
-
-    accuracy = report.get("detection_accuracy")
-    _require(isinstance(accuracy, list), "'detection_accuracy' must be a list")
-    for i, row in enumerate(accuracy):
-        label = f"detection_accuracy[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        _require(isinstance(row.get("detector"), str), f"{label}.detector must be a string")
-        for field_name in (
-            "golden_runs",
-            "golden_runs_with_alarm",
-            "golden_checked_samples",
-            "golden_alarms",
-            "injected_runs",
-            "injected_runs_with_alarm",
-            "injected_checked_samples",
-        ):
-            _require(
-                isinstance(row.get(field_name), int) and row[field_name] >= 0,
-                f"{label}.{field_name} must be a non-negative integer",
-            )
-        for field_name in ("run_fpr", "sample_fpr", "tpr", "precision",
-                           "mean_time_to_detect"):
-            _check_optional_number(row.get(field_name), f"{label}.{field_name}")
-        per_stage = row.get("per_stage")
-        _require(isinstance(per_stage, dict), f"{label}.per_stage must be an object")
-        for stage, stats in per_stage.items():
-            stage_label = f"{label}.per_stage.{stage}"
-            _require(isinstance(stats, dict), f"{stage_label} must be an object")
-            for field_name in ("injected_runs", "detected_runs", "localized_runs"):
-                _require(
-                    isinstance(stats.get(field_name), int)
-                    and stats[field_name] >= 0,
-                    f"{stage_label}.{field_name} must be a non-negative integer",
-                )
-            for field_name in ("tpr", "localization_rate", "mean_time_to_detect"):
-                _check_optional_number(
-                    stats.get(field_name), f"{stage_label}.{field_name}"
-                )
-
-    recovery = report.get("recovery")
-    _require(isinstance(recovery, list), "'recovery' must be a list")
-    for i, row in enumerate(recovery):
-        label = f"recovery[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        for field_name in ("environment", "setting", "detector"):
-            _require(
-                isinstance(row.get(field_name), str),
-                f"{label}.{field_name} must be a string",
-            )
-        for field_name in ("worst_case_recovery", "failure_recovery_rate"):
-            _check_optional_number(row.get(field_name), f"{label}.{field_name}")
-
-    failures = report.get("harness_failures")
-    _require(isinstance(failures, dict), "missing 'harness_failures' object")
-    for field_name in ("total", "specs_quarantined", "specs_failed", "specs_recovered"):
-        _require(
-            isinstance(failures.get(field_name), int) and failures[field_name] >= 0,
-            f"harness_failures.{field_name} must be a non-negative integer",
-        )
-    failure_rows = failures.get("rows")
-    _require(isinstance(failure_rows, list), "harness_failures.rows must be a list")
-    for i, row in enumerate(failure_rows):
-        label = f"harness_failures.rows[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        for field_name in ("setting", "error_type", "outcome"):
-            _require(
-                isinstance(row.get(field_name), str),
-                f"{label}.{field_name} must be a string",
-            )
-        _require(
-            isinstance(row.get("count"), int) and row["count"] > 0,
-            f"{label}.count must be a positive integer",
-        )
     _require(
-        sum(row["count"] for row in failure_rows) == failures["total"],
+        report["shards"] == sorted(report["shards"]),
+        "'shards' must be sorted (determinism)",
+    )
+    for i, group in enumerate(report["groups"]):
+        _require(
+            group["qof"]["num_success"] <= group["qof"]["num_runs"],
+            f"groups[{i}].qof cannot have more successes than runs",
+        )
+    failures = report["harness_failures"]
+    _require(
+        sum(row["count"] for row in failures["rows"]) == failures["total"],
         "harness_failures.total must equal the sum of row counts",
     )
-
-    health = report.get("shard_health")
-    _require(isinstance(health, list), "missing 'shard_health' list")
-    for i, row in enumerate(health):
-        label = f"shard_health[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        _require(isinstance(row.get("path"), str), f"{label}.path must be a string")
-        for field_name in ("intact", "failures", "torn", "corrupt"):
-            _require(
-                isinstance(row.get(field_name), int) and row[field_name] >= 0,
-                f"{label}.{field_name} must be a non-negative integer",
-            )
 
 
 def validate_report_file(path: Union[str, Path]) -> Dict:

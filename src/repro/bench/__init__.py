@@ -8,9 +8,7 @@ writes the ``BENCH_hotpath.json`` perf-trajectory artifact.  See
 
 from repro.bench.campaign import (
     CAMPAIGN_BENCH_SCHEMA,
-    CAMPAIGN_BENCH_SCHEMA_V1,
     DEFAULT_CAMPAIGN_REPORT_NAME,
-    SUPPORTED_CAMPAIGN_BENCH_SCHEMAS,
     campaign_workload,
     format_campaign_table,
     parse_worker_list,
@@ -34,10 +32,8 @@ from repro.bench.workloads import build_workload
 __all__ = [
     "BENCH_SCHEMA",
     "CAMPAIGN_BENCH_SCHEMA",
-    "CAMPAIGN_BENCH_SCHEMA_V1",
     "DEFAULT_CAMPAIGN_REPORT_NAME",
     "DEFAULT_REPORT_NAME",
-    "SUPPORTED_CAMPAIGN_BENCH_SCHEMAS",
     "TimingStats",
     "build_workload",
     "campaign_workload",

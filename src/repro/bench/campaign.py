@@ -18,9 +18,7 @@ execution engine in several modes:
   curve* and the headline entry (2 workers when the list has it) doubles as
   the ``parallel_checkpointed`` mode.
 
-The v1 schema's ``parallel_scratch`` mode timed a configuration the engine
-never ships (worker pools with every cache disabled); v2 drops it and defines
-``parallel_vs_baseline`` as the shipped parallel engine against the scratch
+``parallel_vs_baseline`` is the shipped parallel engine against the scratch
 baseline.
 
 Every mode's -- and every scaling point's -- result stream is checked
@@ -36,7 +34,6 @@ saved) alongside the throughputs.  The schema-validated artifact is
 from __future__ import annotations
 
 import json
-import math
 import multiprocessing
 import os
 import time
@@ -45,8 +42,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.reporting import format_table
-from repro.bench.harness import host_fingerprint
-from repro.core import checkpoint, knobs
+from repro.bench.harness import HOST_SHAPE, host_fingerprint
+from repro.core import checkpoint, knobs, shape
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.executor import (
     ParallelExecutor,
@@ -58,21 +55,13 @@ from repro.core.results import mission_results_equal
 from repro.pipeline import builder
 from repro.planning.memo import plan_memo_stats
 
-#: Schema identifier written into every new campaign report.
+#: Schema identifier written into (and required from) every campaign report.
 CAMPAIGN_BENCH_SCHEMA = "repro-campaign-bench-v2"
-
-#: The previous schema; still accepted by the validator so committed v1
-#: artifacts and external tooling keep working.
-CAMPAIGN_BENCH_SCHEMA_V1 = "repro-campaign-bench-v1"
-
-#: Every schema :func:`validate_campaign_report` accepts.
-SUPPORTED_CAMPAIGN_BENCH_SCHEMAS = (CAMPAIGN_BENCH_SCHEMA_V1, CAMPAIGN_BENCH_SCHEMA)
 
 #: Default report file name (repo-root perf-trajectory artifact).
 DEFAULT_CAMPAIGN_REPORT_NAME = "BENCH_campaign.json"
 
-#: Mode names in report/table order (v2; v1 additionally had
-#: ``parallel_scratch``, which the validator still accepts in old reports).
+#: Mode names in report/table order.
 CAMPAIGN_BENCH_MODES = (
     "serial_scratch",
     "serial_cached",
@@ -422,16 +411,11 @@ def run_campaign_bench(
 
 # ------------------------------------------------------------------ reporting
 def format_campaign_table(report: Dict) -> str:
-    """The campaign bench report as a text table (v1 or v2)."""
+    """The campaign bench report as a text table."""
     rows = []
     base = report["modes"]["serial_scratch"]["specs_per_sec"]
-    mode_order = list(CAMPAIGN_BENCH_MODES)
-    if "parallel_scratch" in report["modes"]:  # v1 reports
-        mode_order.insert(-1, "parallel_scratch")
-    for name in mode_order:
-        mode = report["modes"].get(name)
-        if mode is None:
-            continue
+    for name in CAMPAIGN_BENCH_MODES:
+        mode = report["modes"][name]
         rows.append(
             [
                 name,
@@ -442,7 +426,7 @@ def format_campaign_table(report: Dict) -> str:
             ]
         )
     workload = report["workload"]
-    ckpt = report.get("checkpoint", {})
+    ckpt = report["checkpoint"]
     table = format_table(
         ["Mode", "Workers", "Wall [s]", "Specs/s", "vs baseline"],
         rows,
@@ -453,21 +437,19 @@ def format_campaign_table(report: Dict) -> str:
             f"{workload['injection_window'][1]:.0f}s)"
         ),
     )
-    scaling = report.get("scaling")
-    if scaling:
-        points = []
-        for entry in scaling.get("curve", []):
-            points.append(
-                f"w={entry['workers']} (eff {entry['effective_workers']}): "
-                f"{entry['specs_per_sec']:.2f}/s, "
-                f"{entry['speedup_vs_serial_checkpointed']:.2f}x serial-ckpt, "
-                f"eff'cy {entry['parallel_efficiency']:.2f}, "
-                f"dup builds {entry['duplicate_cursor_builds']}"
-            )
-        table += (
-            f"\nscaling curve [{scaling.get('start_method', '?')}, "
-            f"{scaling.get('cpu_count', '?')} CPU(s)]: " + " | ".join(points)
-        )
+    scaling = report["scaling"]
+    points = [
+        f"w={entry['workers']} (eff {entry['effective_workers']}): "
+        f"{entry['specs_per_sec']:.2f}/s, "
+        f"{entry['speedup_vs_serial_checkpointed']:.2f}x serial-ckpt, "
+        f"eff'cy {entry['parallel_efficiency']:.2f}, "
+        f"dup builds {entry['duplicate_cursor_builds']}"
+        for entry in scaling["curve"]
+    ]
+    table += (
+        f"\nscaling curve [{scaling['start_method']}, "
+        f"{scaling['cpu_count']} CPU(s)]: " + " | ".join(points)
+    )
     table += (
         f"\nbit-identical across modes: {report['bit_identical']}"
         f" | prefix sim-seconds saved: "
@@ -476,7 +458,7 @@ def format_campaign_table(report: Dict) -> str:
         f"{ckpt.get('golden_served', 0)}, cursor restarts: "
         f"{ckpt.get('cursor_restarts', 0)})"
     )
-    memo = report.get("plan_memo")
+    memo = report["plan_memo"]
     if memo:
         table += (
             f"\nplan memo (serial checkpointed): {memo.get('hits', 0)} hits, "
@@ -486,162 +468,85 @@ def format_campaign_table(report: Dict) -> str:
 
 
 # ----------------------------------------------------------------- validation
-def _validate_scaling_section(report: Dict) -> None:
-    """Validate the v2 ``scaling`` section (curve of per-worker-count points)."""
-    scaling = report.get("scaling")
-    if not isinstance(scaling, dict):
-        raise ValueError("v2 campaign bench report must contain a 'scaling' object")
-    workers = scaling.get("workers")
-    if (
-        not isinstance(workers, list)
-        or not workers
-        or not all(isinstance(w, int) and w >= 1 for w in workers)
-    ):
-        raise ValueError(
-            "scaling.workers must be a non-empty list of positive integers"
-        )
-    for field_name in ("headline_workers", "cpu_count"):
-        value = scaling.get(field_name)
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(
-                f"scaling.{field_name} must be a positive integer, got {value!r}"
-            )
-    if scaling["headline_workers"] not in workers:
-        raise ValueError(
-            "scaling.headline_workers must be one of the scaling.workers counts"
-        )
-    if not isinstance(scaling.get("start_method"), str):
-        raise ValueError("scaling.start_method must be a string")
-    if not isinstance(scaling.get("oversubscribe"), bool):
-        raise ValueError("scaling.oversubscribe must be a boolean")
-    curve = scaling.get("curve")
-    if not isinstance(curve, list) or not curve:
-        raise ValueError("scaling.curve must be a non-empty list of points")
-    for entry in curve:
-        if not isinstance(entry, dict):
-            raise ValueError("scaling.curve entries must be objects")
-        for field_name in ("workers", "effective_workers"):
-            value = entry.get(field_name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    f"scaling point {field_name} must be a positive integer, "
-                    f"got {value!r}"
-                )
-        for field_name in (
-            "wall_s",
-            "specs_per_sec",
-            "speedup_vs_serial_checkpointed",
-            "parallel_efficiency",
-        ):
-            value = entry.get(field_name)
-            if (
-                not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or value <= 0
-            ):
-                raise ValueError(
-                    f"scaling point {field_name} must be finite and positive, "
-                    f"got {value!r}"
-                )
-        for field_name in (
-            "duplicate_cursor_builds",
-            "cursors_built",
-            "snapshots_restored",
-            "forks",
-            "specs",
-        ):
-            value = entry.get(field_name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"scaling point {field_name} must be a non-negative "
-                    f"integer, got {value!r}"
-                )
-    if {entry["workers"] for entry in curve} != set(workers):
-        raise ValueError(
-            "scaling.curve must contain exactly one point per scaling.workers entry"
-        )
+_MODE = shape.Obj(
+    wall_s=shape.POSITIVE,
+    specs=shape.POSITIVE_INT,
+    specs_per_sec=shape.POSITIVE,
+    workers=shape.POSITIVE_INT,
+    effective_workers=shape.POSITIVE_INT,
+    optional=("effective_workers",),
+)
+CAMPAIGN_REPORT_SHAPE = shape.Obj(
+    schema=shape.Literal(CAMPAIGN_BENCH_SCHEMA),
+    created_unix=shape.POSITIVE,
+    host=HOST_SHAPE,
+    workload=shape.Obj(
+        environment=shape.NAME,
+        mission_seeds=shape.POSITIVE_INT,
+        injections_per_stage=shape.COUNT,
+        injection_window=shape.Pair(),
+        mission_time_limit=shape.POSITIVE,
+        specs=shape.POSITIVE_INT,
+        prefix_groups=shape.POSITIVE_INT,
+        smoke=shape.BOOL,
+        repeats=shape.POSITIVE_INT,
+    ),
+    modes=shape.Obj(**dict.fromkeys(CAMPAIGN_BENCH_MODES, _MODE)),
+    scaling=shape.Obj(
+        workers=shape.ListOf(shape.POSITIVE_INT, nonempty=True),
+        headline_workers=shape.POSITIVE_INT,
+        start_method=shape.STR,
+        cpu_count=shape.POSITIVE_INT,
+        oversubscribe=shape.BOOL,
+        curve=shape.ListOf(
+            shape.Obj(
+                workers=shape.POSITIVE_INT,
+                effective_workers=shape.POSITIVE_INT,
+                wall_s=shape.POSITIVE,
+                specs=shape.COUNT,
+                specs_per_sec=shape.POSITIVE,
+                speedup_vs_serial_checkpointed=shape.POSITIVE,
+                parallel_efficiency=shape.POSITIVE,
+                duplicate_cursor_builds=shape.COUNT,
+                cursors_built=shape.COUNT,
+                snapshots_restored=shape.COUNT,
+                forks=shape.COUNT,
+            ),
+            nonempty=True,
+        ),
+    ),
+    speedups=shape.Obj(
+        cached_vs_baseline=shape.POSITIVE,
+        cached_checkpointed_vs_baseline=shape.POSITIVE,
+        parallel_vs_baseline=shape.POSITIVE,
+        parallel_checkpointed_vs_baseline=shape.POSITIVE,
+        parallel_vs_serial_checkpointed=shape.POSITIVE,
+    ),
+    cache=shape.OPEN,
+    plan_memo=shape.OPEN,
+    checkpoint=shape.OPEN,
+    bit_identical=shape.Literal(True),
+)
 
 
 def validate_campaign_report(report: Dict) -> None:
-    """Validate a campaign bench report (v1 or v2); raises ``ValueError``."""
-    if not isinstance(report, dict):
-        raise ValueError("campaign bench report must be a JSON object")
-    schema = report.get("schema")
-    if schema not in SUPPORTED_CAMPAIGN_BENCH_SCHEMAS:
+    """Validate a campaign bench report; raises ``ValueError`` when malformed.
+
+    Beyond :data:`CAMPAIGN_REPORT_SHAPE` (which requires ``bit_identical``
+    true), the scaling curve needs one point per worker count, the headline
+    count among them.
+    """
+    prefix = f"invalid {CAMPAIGN_BENCH_SCHEMA} report"
+    shape.check_shape(CAMPAIGN_REPORT_SHAPE, report, prefix)
+    scaling = report["scaling"]
+    if sorted(entry["workers"] for entry in scaling["curve"]) != sorted(scaling["workers"]):
         raise ValueError(
-            f"campaign bench schema must be one of "
-            f"{list(SUPPORTED_CAMPAIGN_BENCH_SCHEMAS)}, got {schema!r}"
+            f"{prefix}: scaling.curve must hold exactly one point per scaling.workers entry"
         )
-    modes = report.get("modes")
-    if not isinstance(modes, dict) or not modes:
-        raise ValueError("campaign bench report must contain a 'modes' object")
-    for required in ("serial_scratch", "serial_checkpointed"):
-        if required not in modes:
-            raise ValueError(f"campaign bench report must time the {required!r} mode")
-    for name, mode in modes.items():
-        if not isinstance(mode, dict):
-            raise ValueError(f"mode {name!r}: must be an object")
-        for field_name in ("wall_s", "specs_per_sec"):
-            value = mode.get(field_name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"mode {name!r}: {field_name} must be finite and positive, got {value!r}"
-                )
-        if not isinstance(mode.get("specs"), int) or mode["specs"] <= 0:
-            raise ValueError(f"mode {name!r}: specs must be a positive integer")
-    speedups = report.get("speedups")
-    if not isinstance(speedups, dict):
-        raise ValueError("campaign bench report must contain a 'speedups' object")
-    for name, value in speedups.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-            raise ValueError(f"speedup {name!r} must be finite and positive, got {value!r}")
-    headline = speedups.get("cached_checkpointed_vs_baseline")
-    if headline is None:
+    if scaling["headline_workers"] not in scaling["workers"]:
         raise ValueError(
-            "campaign bench report must record 'cached_checkpointed_vs_baseline'"
+            f"{prefix}: scaling.headline_workers must be one of the scaling.workers counts"
         )
-    created = report.get("created_unix")
-    if not isinstance(created, (int, float)) or not math.isfinite(created) or created <= 0:
-        raise ValueError(
-            f"campaign bench report created_unix must be a positive timestamp, "
-            f"got {created!r}"
-        )
-    if schema == CAMPAIGN_BENCH_SCHEMA:
-        for required in ("serial_cached", "parallel_checkpointed"):
-            if required not in modes:
-                raise ValueError(
-                    f"v2 campaign bench report must time the {required!r} mode"
-                )
-        for name in (
-            "cached_vs_baseline",
-            "parallel_vs_baseline",
-            "parallel_checkpointed_vs_baseline",
-            "parallel_vs_serial_checkpointed",
-        ):
-            if speedups.get(name) is None:
-                raise ValueError(
-                    f"v2 campaign bench report must record speedups.{name!r}"
-                )
-        workload = report.get("workload")
-        if isinstance(workload, dict):
-            repeats = workload.get("repeats")
-            if not isinstance(repeats, int) or repeats < 1:
-                raise ValueError(
-                    f"v2 campaign bench workload.repeats must be a positive "
-                    f"integer, got {repeats!r}"
-                )
-        _validate_scaling_section(report)
-    if report.get("bit_identical") is not True:
-        raise ValueError(
-            "campaign bench report must record bit_identical=true (checkpointed "
-            "results must match from-scratch execution exactly)"
-        )
-    for section in ("checkpoint", "cache", "workload", "host"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"campaign bench report must contain a {section!r} object")
-    # Optional: reports written before the plan memo existed lack it.
-    if not isinstance(report.get("plan_memo", {}), dict):
-        raise ValueError("campaign bench report's 'plan_memo' must be an object")
 
 
 def validate_campaign_report_file(path: Union[str, Path]) -> Dict:

@@ -12,7 +12,6 @@ through them).
 from __future__ import annotations
 
 import json
-import math
 import platform
 import time
 from dataclasses import dataclass
@@ -20,6 +19,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from repro.core import shape
 
 #: Schema identifier written into (and required from) every report.
 BENCH_SCHEMA = "repro-bench-v1"
@@ -130,62 +131,65 @@ def host_fingerprint() -> Dict[str, str]:
     }
 
 
-def validate_report(report: Dict) -> None:
-    """Validate a bench report dict; raises ``ValueError`` when malformed.
+#: The :func:`host_fingerprint` object, shared with the campaign bench report.
+HOST_SHAPE = shape.Obj(
+    python=shape.STR,
+    implementation=shape.STR,
+    numpy=shape.STR,
+    machine=shape.STR,
+    system=shape.STR,
+)
+_TIMINGS = shape.Obj(
+    best_ms=shape.POSITIVE,
+    mean_ms=shape.POSITIVE,
+    repeats=shape.POSITIVE_INT,
+    calls_per_run=shape.POSITIVE_INT,
+    runs_per_sec=shape.POSITIVE,
+)
+REPORT_SHAPE = shape.Obj(
+    schema=shape.Literal(BENCH_SCHEMA),
+    created_unix=shape.POSITIVE,
+    host=HOST_SHAPE,
+    env=shape.MapOf(shape.STR),
+    workload=shape.OPEN,
+    repeats=shape.POSITIVE_INT,
+    kernels=shape.MapOf(
+        shape.Obj(
+            vector=_TIMINGS,
+            scalar=_TIMINGS,
+            speedup=shape.POSITIVE,
+            optional=("scalar", "speedup"),
+        ),
+        nonempty=True,
+    ),
+    pipeline=shape.Obj(
+        environment=shape.NAME,
+        seed=shape.INT,
+        mission_success=shape.BOOL,
+        mission_flight_time_s=shape.NON_NEGATIVE,
+        mission_wall_s=shape.POSITIVE,
+        per_kernel=shape.MapOf(
+            shape.Obj(
+                wall_ms=shape.NON_NEGATIVE,
+                calls=shape.COUNT,
+                ms_per_call=shape.NON_NEGATIVE,
+            )
+        ),
+    ),
+)
 
-    Checks the schema marker, the presence and well-formedness of every
-    kernel entry (finite, positive timings; finite speedup when a scalar
-    reference was measured) and the pipeline-profile section.
+
+def validate_report(report: Dict) -> None:
+    """Validate a bench report dict against :data:`REPORT_SHAPE`.
+
+    Raises ``ValueError`` when malformed, including a kernel entry that has
+    scalar timings without a speedup or a speedup without scalar timings.
     """
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench report schema must be {BENCH_SCHEMA!r}, got {report.get('schema')!r}"
-        )
-    kernels = report.get("kernels")
-    if not isinstance(kernels, dict) or not kernels:
-        raise ValueError("bench report must contain a non-empty 'kernels' object")
-    for name, entry in kernels.items():
-        if not isinstance(entry, dict) or "vector" not in entry:
-            raise ValueError(f"kernel {name!r}: missing 'vector' timings")
-        for side in ("vector", "scalar"):
-            stats = entry.get(side)
-            if stats is None:
-                continue
-            if not isinstance(stats, dict):
-                raise ValueError(f"kernel {name!r}: {side} must be a timings object")
-            for field_name in ("best_ms", "mean_ms", "repeats", "runs_per_sec"):
-                value = stats.get(field_name)
-                if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise ValueError(
-                        f"kernel {name!r}: {side}.{field_name} must be finite, got {value!r}"
-                    )
-            if stats["best_ms"] <= 0 or stats["mean_ms"] <= 0:
-                raise ValueError(f"kernel {name!r}: {side} timings must be positive")
-        if "scalar" in entry:
-            speedup = entry.get("speedup")
-            if not isinstance(speedup, (int, float)) or not math.isfinite(speedup) or speedup <= 0:
-                raise ValueError(f"kernel {name!r}: speedup must be finite and positive")
-    pipeline = report.get("pipeline")
-    if not isinstance(pipeline, dict):
-        raise ValueError("bench report must contain a 'pipeline' profile object")
-    per_kernel = pipeline.get("per_kernel")
-    if not isinstance(per_kernel, dict):
-        raise ValueError("pipeline profile must contain a 'per_kernel' object")
-    for name, stats in per_kernel.items():
-        if not isinstance(stats, dict):
-            raise ValueError(f"pipeline kernel {name!r}: stats must be an object")
-        for field_name in ("wall_ms", "calls", "ms_per_call"):
-            value = stats.get(field_name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(
-                    f"pipeline kernel {name!r}: {field_name} must be finite, got {value!r}"
-                )
-    if not isinstance(report.get("host"), dict):
-        raise ValueError("bench report must record the 'host' fingerprint")
-    if not isinstance(report.get("workload"), dict):
-        raise ValueError("bench report must describe its 'workload'")
+    prefix = f"invalid {BENCH_SCHEMA} report"
+    shape.check_shape(REPORT_SHAPE, report, prefix)
+    for name, entry in report["kernels"].items():
+        if ("scalar" in entry) != ("speedup" in entry):
+            raise ValueError(f"{prefix}: kernels.{name} needs both scalar and speedup or neither")
 
 
 def validate_report_file(path: Union[str, Path]) -> Dict:

@@ -857,6 +857,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"record(s); the surviving records were aggregated",
                 file=sys.stderr,
             )
+    conflicting = report["records"]["conflicting_keys"]
+    if conflicting > 0:
+        print(
+            f"WARNING: {conflicting} spec key(s) have conflicting records "
+            f"across shards; the digest tie-break kept one record per key",
+            file=sys.stderr,
+        )
     if not report["records"]["unique"]:
         print(f"no intact records in {', '.join(str(p) for p in args.results)}")
         return 1
@@ -873,7 +880,7 @@ def _validate_bench_report(path: Path) -> int:
     import json
 
     from repro.bench import (
-        SUPPORTED_CAMPAIGN_BENCH_SCHEMAS,
+        CAMPAIGN_BENCH_SCHEMA,
         validate_campaign_report_file,
         validate_report_file,
     )
@@ -882,7 +889,7 @@ def _validate_bench_report(path: Path) -> int:
         schema = json.loads(path.read_text()).get("schema")
     except (OSError, json.JSONDecodeError, AttributeError) as error:
         raise ValueError(f"cannot read bench report {path}: {error}") from error
-    if schema in SUPPORTED_CAMPAIGN_BENCH_SCHEMAS:
+    if schema == CAMPAIGN_BENCH_SCHEMA:
         report = validate_campaign_report_file(path)
         print(
             f"{path}: valid {report['schema']} report "

@@ -55,6 +55,7 @@ from repro.core.executor import (
 from repro.core.injector import FaultPlan
 from repro.core.qof import ConfidenceInterval, derive_seed, wilson_interval
 from repro.core.results import JsonlResultStore
+from repro.core import shape
 from repro.scenarios import Scenario, resolve_scenario
 
 #: Schema identifier written into (and required from) every audit trail.
@@ -709,288 +710,175 @@ def _finite_or_none(value: float) -> Optional[float]:
 
 
 # ----------------------------------------------------------------- validation
+PLAN_SHAPE = shape.Obj(
+    schema=shape.Literal(PLAN_SCHEMA),
+    campaign=shape.Obj(
+        environment=shape.NAME,
+        env_seed=shape.INT,
+        seed=shape.INT,
+        planner=shape.NAME,
+        platform=shape.NAME,
+        mission_time_limit=shape.POSITIVE,
+        time_step=shape.POSITIVE,
+        injection_window=shape.Pair(),
+        settings=shape.ListOf(shape.STR),
+        scenarios=shape.ListOf(shape.STR),
+        stages=shape.ListOf(shape.STR),
+        seed_pool_size=shape.POSITIVE_INT,
+    ),
+    config=shape.Obj(
+        budget=shape.POSITIVE_INT,
+        ci_width=shape.PROBABILITY,
+        confidence=shape.PROBABILITY,
+        round_size=shape.POSITIVE_INT,
+        min_runs=shape.POSITIVE_INT,
+        max_rounds=shape.POSITIVE_INT,
+        bisect=shape.BOOL,
+        bisect_tolerance=shape.POSITIVE,
+        bisect_max_probes=shape.COUNT,
+        bisect_votes=shape.POSITIVE_INT,
+    ),
+    rounds=shape.ListOf(
+        shape.Obj(
+            round=shape.COUNT,
+            allocations=shape.ListOf(
+                shape.Obj(
+                    cell=shape.NAME,
+                    runs=shape.POSITIVE_INT,
+                    spec_keys=shape.ListOf(shape.STR),
+                ),
+                nonempty=True,
+            ),
+            runs_used=shape.COUNT,
+        )
+    ),
+    cells=shape.ListOf(
+        shape.Obj(
+            cell=shape.NAME,
+            setting=shape.STR,
+            scenario=shape.STR,
+            stage=shape.STR,
+            runs=shape.COUNT,
+            successes=shape.COUNT,
+            success_rate=shape.Nullable(shape.FRACTION),
+            wilson=shape.Obj(
+                lower=shape.MAYBE_FINITE,
+                upper=shape.MAYBE_FINITE,
+                half_width=shape.MAYBE_FINITE,
+                confidence=shape.PROBABILITY,
+            ),
+            stop_reason=shape.Literal(*STOP_REASONS),
+            stop_round=shape.Nullable(shape.COUNT),
+            spec_keys=shape.ListOf(shape.STR),
+        ),
+        nonempty=True,
+    ),
+    boundaries=shape.ListOf(
+        shape.Obj(
+            cell=shape.NAME,
+            setting=shape.STR,
+            scenario=shape.STR,
+            stage=shape.STR,
+            window=shape.Pair(),
+            bracket=shape.Pair(),
+            boundary=shape.MAYBE_FINITE,
+            probes=shape.COUNT,
+            votes=shape.POSITIVE_INT,
+            tolerance=shape.POSITIVE,
+            converged=shape.BOOL,
+            reason=shape.Literal(*BISECT_REASONS),
+            lo_survives=shape.Nullable(shape.BOOL),
+            hi_survives=shape.Nullable(shape.BOOL),
+        )
+    ),
+    totals=shape.Obj(
+        budget=shape.POSITIVE_INT,
+        runs_used=shape.COUNT,
+        sampling_runs=shape.COUNT,
+        bisection_probes=shape.COUNT,
+        cells=shape.COUNT,
+        early_stopped=shape.COUNT,
+    ),
+)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"invalid {PLAN_SCHEMA} plan: {message}")
 
 
-def _require_int(value: object, message: str, minimum: int = 0) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), message)
-    number = int(value)  # type: ignore[arg-type]
-    _require(number >= minimum, message)
-    return number
-
-
-def _validate_interval_field(value: object, name: str, label: str) -> None:
-    if value is None:
-        return
-    _require(
-        isinstance(value, (int, float)) and math.isfinite(float(value)),
-        f"cell {label} wilson.{name} must be finite or null",
-    )
-
-
 def validate_plan(plan: Dict) -> Dict:
-    """Structurally validate an ``adaptive-plan-v1`` audit trail.
+    """Validate an ``adaptive-plan-v1`` audit trail; returns it or raises ``ValueError``.
 
-    Checks schema identity, section presence, cross-section accounting (the
-    per-round allocations must sum to each cell's tallies and to the totals),
-    stop/bisection reason vocabularies, interval sanity and the budget
-    ceiling.  Returns the plan on success, raises :class:`ValueError` with a
-    specific message on the first violation.
+    Beyond :data:`PLAN_SHAPE` it checks what a shape cannot express: the
+    budget, allocation and probe sums, spec-key order, unique cell labels,
+    null success rates exactly for cells without runs, ordered Wilson
+    intervals and brackets within their windows.
     """
-    _require(isinstance(plan, dict), "plan must be a JSON object")
-    _require(
-        plan.get("schema") == PLAN_SCHEMA,
-        f"schema must be {PLAN_SCHEMA!r}, got {plan.get('schema')!r}",
-    )
-    for section in ("campaign", "config", "rounds", "cells", "boundaries", "totals"):
-        _require(section in plan, f"missing section {section!r}")
-    campaign = plan["campaign"]
-    _require(isinstance(campaign, dict), "campaign must be an object")
-    for name in ("environment", "planner", "platform"):
-        _require(
-            isinstance(campaign.get(name), str) and bool(campaign[name]),
-            f"campaign.{name} must be a non-empty string",
-        )
-    for name in ("env_seed", "seed"):
-        _require(
-            isinstance(campaign.get(name), int) and not isinstance(campaign[name], bool),
-            f"campaign.{name} must be an integer",
-        )
-    for name in ("mission_time_limit", "time_step"):
-        value = campaign.get(name)
-        _require(
-            isinstance(value, (int, float)) and math.isfinite(float(value))
-            and float(value) > 0.0,
-            f"campaign.{name} must be finite and positive",
-        )
-    window = campaign.get("injection_window")
-    _require(
-        isinstance(window, list) and len(window) == 2
-        and all(isinstance(v, (int, float)) for v in window)
-        and float(window[0]) <= float(window[1]),
-        "campaign.injection_window must be an ordered [lo, hi] pair",
-    )
-    for name in ("settings", "scenarios", "stages"):
-        values = campaign.get(name)
-        _require(
-            isinstance(values, list) and all(isinstance(v, str) for v in values),
-            f"campaign.{name} must be a list of strings",
-        )
-    _require_int(
-        campaign.get("seed_pool_size"), "campaign.seed_pool_size must be an int >= 1", 1
-    )
-    config = plan["config"]
-    _require(isinstance(config, dict), "config must be an object")
-    budget = _require_int(config.get("budget"), "config.budget must be a positive int", 1)
-    for name in ("ci_width", "confidence"):
-        value = config.get(name)
-        _require(
-            isinstance(value, (int, float)) and 0.0 < float(value) < 1.0,
-            f"config.{name} must be in (0, 1)",
-        )
-    _require_int(config.get("round_size"), "config.round_size must be >= 1", 1)
-    _require_int(config.get("min_runs"), "config.min_runs must be >= 1", 1)
-    _require_int(config.get("max_rounds"), "config.max_rounds must be >= 1", 1)
-    _require(isinstance(config.get("bisect"), bool), "config.bisect must be a boolean")
-    tolerance = config.get("bisect_tolerance")
-    _require(
-        isinstance(tolerance, (int, float)) and math.isfinite(float(tolerance))
-        and float(tolerance) > 0.0,
-        "config.bisect_tolerance must be finite and positive",
-    )
-    _require_int(
-        config.get("bisect_max_probes"), "config.bisect_max_probes must be >= 0"
-    )
-    _require_int(config.get("bisect_votes"), "config.bisect_votes must be >= 1", 1)
-
+    shape.check_shape(PLAN_SHAPE, plan, f"invalid {PLAN_SCHEMA} plan")
+    budget = plan["config"]["budget"]
     totals = plan["totals"]
-    _require(isinstance(totals, dict), "totals must be an object")
-    runs_used = _require_int(totals.get("runs_used"), "totals.runs_used must be an int >= 0")
-    sampling = _require_int(
-        totals.get("sampling_runs"), "totals.sampling_runs must be an int >= 0"
-    )
-    probes = _require_int(
-        totals.get("bisection_probes"), "totals.bisection_probes must be an int >= 0"
-    )
+    sampling, probes = totals["sampling_runs"], totals["bisection_probes"]
     _require(
-        runs_used == sampling + probes,
+        totals["runs_used"] == sampling + probes,
         "totals.runs_used must equal sampling_runs + bisection_probes",
     )
-    _require(runs_used <= budget, "totals.runs_used must not exceed the budget")
-    _require(
-        totals.get("budget") == budget,
-        "totals.budget must match config.budget",
-    )
+    _require(totals["runs_used"] <= budget, "totals.runs_used must not exceed the budget")
+    _require(totals["budget"] == budget, "totals.budget must match config.budget")
 
-    rounds = plan["rounds"]
-    _require(isinstance(rounds, list), "rounds must be a list")
-    allocated: Dict[str, int] = {}
     allocated_keys: Dict[str, List[str]] = {}
     round_total = 0
-    for i, entry in enumerate(rounds):
-        _require(isinstance(entry, dict), f"round {i} must be an object")
-        _require(entry.get("round") == i, f"round {i} must be numbered in order")
-        allocations = entry.get("allocations")
-        _require(
-            isinstance(allocations, list) and allocations,
-            f"round {i} must have a non-empty allocations list",
-        )
-        for allocation in allocations:
-            _require(isinstance(allocation, dict), f"round {i} allocation must be an object")
-            label = allocation.get("cell")
+    for i, entry in enumerate(plan["rounds"]):
+        _require(entry["round"] == i, f"round {i} must be numbered in order")
+        for allocation in entry["allocations"]:
             _require(
-                isinstance(label, str) and bool(label),
-                f"round {i} allocation needs a cell label",
-            )
-            count = _require_int(
-                allocation.get("runs"), f"round {i} allocation runs must be >= 1", 1
-            )
-            keys = allocation.get("spec_keys")
-            _require(
-                isinstance(keys, list) and len(keys) == count
-                and all(isinstance(k, str) for k in keys),
+                len(allocation["spec_keys"]) == allocation["runs"],
                 f"round {i} allocation spec_keys must list one key per run",
             )
-            assert isinstance(label, str) and isinstance(keys, list)
-            allocated[label] = allocated.get(label, 0) + count
-            allocated_keys.setdefault(label, []).extend(keys)
-            round_total += count
-    _require(
-        round_total == sampling,
-        "per-round allocations must sum to totals.sampling_runs",
-    )
+            allocated_keys.setdefault(allocation["cell"], []).extend(allocation["spec_keys"])
+            round_total += allocation["runs"]
+    _require(round_total == sampling, "per-round allocations must sum to totals.sampling_runs")
 
     cells = plan["cells"]
-    _require(isinstance(cells, list) and cells, "cells must be a non-empty list")
-    seen_labels = []
+    labels = [cell["cell"] for cell in cells]
     for cell in cells:
-        _require(isinstance(cell, dict), "each cell must be an object")
-        label = cell.get("cell")
-        _require(isinstance(label, str) and bool(label), "each cell needs a label")
-        assert isinstance(label, str)
-        _require(label not in seen_labels, f"duplicate cell label {label!r}")
-        seen_labels.append(label)
-        for name in ("setting", "scenario", "stage"):
-            _require(
-                isinstance(cell.get(name), str),
-                f"cell {label} {name} must be a string",
-            )
-        runs = _require_int(cell.get("runs"), f"cell {label} runs must be an int >= 0")
-        successes = _require_int(
-            cell.get("successes"), f"cell {label} successes must be an int >= 0"
-        )
+        label = cell["cell"]
+        _require(labels.count(label) == 1, f"duplicate cell label {label!r}")
+        runs = cell["runs"]
+        _require(cell["successes"] <= runs, f"cell {label} successes must not exceed its runs")
         _require(
-            successes <= runs, f"cell {label} successes must not exceed its runs"
+            (cell["success_rate"] is None) == (runs == 0),
+            f"cell {label} success_rate must be null exactly when it has no runs",
         )
-        rate = cell.get("success_rate")
-        if runs:
-            _require(
-                isinstance(rate, (int, float)) and 0.0 <= float(rate) <= 1.0,
-                f"cell {label} success_rate must be in [0, 1]",
-            )
-        else:
-            _require(rate is None, f"cell {label} success_rate must be null with no runs")
-        stop_round = cell.get("stop_round")
-        if stop_round is not None:
-            _require_int(stop_round, f"cell {label} stop_round must be an int >= 0")
+        keys = allocated_keys.get(label, [])
+        _require(runs == len(keys), f"cell {label} runs must equal its summed round allocations")
         _require(
-            runs == allocated.get(label, 0),
-            f"cell {label} runs must equal its summed round allocations",
-        )
-        keys = cell.get("spec_keys")
-        _require(
-            isinstance(keys, list) and keys == allocated_keys.get(label, []),
+            cell["spec_keys"] == keys,
             f"cell {label} spec_keys must match its round allocations in order",
         )
+        lower, upper = cell["wilson"]["lower"], cell["wilson"]["upper"]
         _require(
-            cell.get("stop_reason") in STOP_REASONS,
-            f"cell {label} stop_reason must be one of {STOP_REASONS}",
+            lower is None or upper is None or lower <= upper,
+            f"cell {label} wilson interval must be ordered",
         )
-        wilson = cell.get("wilson")
-        _require(isinstance(wilson, dict), f"cell {label} needs a wilson section")
-        assert isinstance(wilson, dict)
-        for name in ("lower", "upper", "half_width"):
-            _validate_interval_field(wilson.get(name), name, label)
-        lower, upper = wilson.get("lower"), wilson.get("upper")
-        if lower is not None and upper is not None:
-            _require(
-                float(lower) <= float(upper),
-                f"cell {label} wilson interval must be ordered",
-            )
-    early = sum(1 for cell in cells if cell.get("stop_reason") == STOP_CONVERGED)
-    _require(
-        totals.get("early_stopped") == early,
-        "totals.early_stopped must count the converged cells",
-    )
-    _require(
-        totals.get("cells") == len(cells),
-        "totals.cells must match the cells section",
-    )
+    early = sum(1 for cell in cells if cell["stop_reason"] == STOP_CONVERGED)
+    _require(totals["early_stopped"] == early, "totals.early_stopped must count converged cells")
+    _require(totals["cells"] == len(cells), "totals.cells must match the cells section")
 
-    boundaries = plan["boundaries"]
-    _require(isinstance(boundaries, list), "boundaries must be a list")
-    boundary_probes = 0
-    for boundary in boundaries:
-        _require(isinstance(boundary, dict), "each boundary must be an object")
-        label = boundary.get("cell")
-        _require(isinstance(label, str) and bool(label), "each boundary needs a cell label")
-        for name in ("setting", "scenario", "stage"):
-            _require(
-                isinstance(boundary.get(name), str),
-                f"boundary {label} {name} must be a string",
-            )
+    for boundary in plan["boundaries"]:
+        label = boundary["cell"]
+        (window_lo, window_hi), (lo, hi) = boundary["window"], boundary["bracket"]
         _require(
-            boundary.get("reason") in BISECT_REASONS,
-            f"boundary {label} reason must be one of {BISECT_REASONS}",
-        )
-        _require_int(
-            boundary.get("votes"), f"boundary {label} votes must be an int >= 1", 1
-        )
-        tolerance = boundary.get("tolerance")
-        _require(
-            isinstance(tolerance, (int, float)) and math.isfinite(float(tolerance))
-            and float(tolerance) > 0.0,
-            f"boundary {label} tolerance must be finite and positive",
-        )
-        _require(
-            isinstance(boundary.get("converged"), bool),
-            f"boundary {label} converged must be a boolean",
-        )
-        for name in ("lo_survives", "hi_survives"):
-            survives = boundary.get(name)
-            _require(
-                survives is None or isinstance(survives, bool),
-                f"boundary {label} {name} must be a boolean or null",
-            )
-        window = boundary.get("window")
-        bracket = boundary.get("bracket")
-        for name, pair in (("window", window), ("bracket", bracket)):
-            _require(
-                isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)
-                and float(pair[0]) <= float(pair[1]),
-                f"boundary {label} {name} must be an ordered [lo, hi] pair",
-            )
-        assert isinstance(window, list) and isinstance(bracket, list)
-        _require(
-            float(window[0]) <= float(bracket[0])
-            and float(bracket[1]) <= float(window[1]),
+            window_lo <= lo and hi <= window_hi,
             f"boundary {label} bracket must lie within its window",
         )
-        estimate = boundary.get("boundary")
-        if estimate is not None:
-            _require(
-                isinstance(estimate, (int, float))
-                and float(bracket[0]) <= float(estimate) <= float(bracket[1]),
-                f"boundary {label} estimate must lie within its bracket",
-            )
-        boundary_probes += _require_int(
-            boundary.get("probes"), f"boundary {label} probes must be an int >= 0"
+        estimate = boundary["boundary"]
+        _require(
+            estimate is None or lo <= estimate <= hi,
+            f"boundary {label} estimate must lie within its bracket",
         )
     _require(
-        boundary_probes == probes,
+        sum(boundary["probes"] for boundary in plan["boundaries"]) == probes,
         "per-boundary probes must sum to totals.bisection_probes",
     )
     return plan

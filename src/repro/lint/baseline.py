@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Sequence, Set
 
+from repro.core import shape
 from repro.lint.findings import Finding
 
 BASELINE_SCHEMA = "repro-lint-baseline-v1"
@@ -38,6 +39,18 @@ class BaselineEntry:
         return {"code": self.code, "path": self.path, "fingerprint": self.fingerprint}
 
 
+BASELINE_SHAPE = shape.Obj(
+    schema=shape.Literal(BASELINE_SCHEMA),
+    findings=shape.ListOf(
+        shape.Obj(
+            code=shape.NAME,
+            path=shape.NAME,
+            fingerprint=shape.NAME,
+        )
+    ),
+)
+
+
 def load_baseline_entries(path: Path) -> List[BaselineEntry]:
     """Entries recorded in ``path`` (empty list if absent); validates shape."""
     path = Path(path)
@@ -47,27 +60,8 @@ def load_baseline_entries(path: Path) -> List[BaselineEntry]:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as error:
         raise ValueError(f"baseline {path} is not valid JSON: {error}") from error
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"baseline {path} has schema {payload.get('schema')!r}, "
-            f"expected {BASELINE_SCHEMA!r}"
-        )
-    entries: List[BaselineEntry] = []
-    for position, raw in enumerate(payload.get("findings", [])):
-        if not isinstance(raw, dict):
-            raise ValueError(f"baseline {path}: entry {position} is not an object")
-        for field_name in ("code", "path", "fingerprint"):
-            if not isinstance(raw.get(field_name), str) or not raw[field_name]:
-                raise ValueError(
-                    f"baseline {path}: entry {position} is missing a "
-                    f"non-empty {field_name!r}"
-                )
-        entries.append(
-            BaselineEntry(
-                code=raw["code"], path=raw["path"], fingerprint=raw["fingerprint"]
-            )
-        )
-    return entries
+    shape.check_shape(BASELINE_SHAPE, payload, f"invalid {BASELINE_SCHEMA} baseline {path}")
+    return [BaselineEntry(**raw) for raw in payload["findings"]]
 
 
 def load_baseline(path: Path) -> Set[str]:
@@ -77,13 +71,11 @@ def load_baseline(path: Path) -> Set[str]:
 
 def save_baseline(path: Path, findings: Iterable[Finding]) -> None:
     """Write every finding's fingerprint to ``path`` (canonical JSON)."""
-    entries: List[dict] = [
-        {"code": f.code, "path": f.path, "fingerprint": f.fingerprint}
+    entries = [
+        BaselineEntry(code=f.code, path=f.path, fingerprint=f.fingerprint)
         for f in findings
     ]
-    entries.sort(key=lambda e: (e["path"], e["code"], e["fingerprint"]))
-    payload = {"schema": BASELINE_SCHEMA, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    save_baseline_entries(path, entries)
 
 
 def save_baseline_entries(path: Path, entries: Sequence[BaselineEntry]) -> None:

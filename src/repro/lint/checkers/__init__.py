@@ -1,7 +1,7 @@
 """The checker registry: one module per invariant.
 
-RL001..RL007 are per-file checkers; RL008..RL012 are project checkers that
-run against the whole-program index (``repro.lint.project``).
+RL001..RL007 are per-file checkers; RL008, RL009, RL010 and RL012 are project
+checkers that run against the whole-program index (``repro.lint.project``).
 """
 
 from typing import Dict, List, Type, Union
@@ -17,7 +17,6 @@ from repro.lint.checkers.rl007_swallowed import SwallowedException
 from repro.lint.checkers.rl008_speckey import SpecKeyCompleteness
 from repro.lint.checkers.rl009_layering import LayeringViolation
 from repro.lint.checkers.rl010_knob_lifecycle import KnobLifecycle
-from repro.lint.checkers.rl011_schema_drift import SchemaDrift
 from repro.lint.checkers.rl012_pickle_boundary import PickleBoundary
 from repro.lint.project import ProjectChecker
 
@@ -35,7 +34,6 @@ PROJECT_CHECKERS: List[Type[ProjectChecker]] = [
     SpecKeyCompleteness,
     LayeringViolation,
     KnobLifecycle,
-    SchemaDrift,
     PickleBoundary,
 ]
 

@@ -4,7 +4,8 @@ The per-file checkers (RL001..RL007) see one AST at a time; every expensive
 contract bug this repo has actually shipped crossed a file boundary
 (``abort_grace`` missing from the RunSpec key, schema emitters drifting from
 their validators).  The index pass parses every collected file once and
-builds the cross-file tables the project checkers (RL008..RL012) need:
+builds the cross-file tables the project checkers (RL008..RL010, RL012)
+need:
 
 * the internal import graph (edge kind: toplevel / lazy / typing),
 * per-module class tables (dataclass fields, methods),
@@ -286,15 +287,6 @@ class ProjectIndex:
                 return info, info.classes[name]
         return None
 
-    def find_function(
-        self, module_suffix: str, qualname: str
-    ) -> Optional[Tuple[ModuleInfo, ast.FunctionDef]]:
-        """Look up ``qualname`` in the module whose rel path ends with suffix."""
-        for info in self.modules.values():
-            if info.rel.endswith(module_suffix) and qualname in info.functions:
-                return info, info.functions[qualname]
-        return None
-
     def graph_dict(self) -> Dict:
         """The internal import graph as a JSON-serializable artifact."""
         from repro.lint.checkers.rl009_layering import layer_for
@@ -355,23 +347,3 @@ class ProjectChecker:
             snippet=module.snippet(line),
         )
 
-
-def collect_string_constants(node: ast.AST, skip_fstrings: bool = True) -> List[str]:
-    """Every string literal under ``node`` (f-string fragments excluded).
-
-    F-string fragments are excluded because they are prose, not keys: a
-    validator's error message mentioning a field name inside an f-string
-    must not count as "checking" that field.
-    """
-    found: List[str] = []
-
-    def walk(n: ast.AST) -> None:
-        if skip_fstrings and isinstance(n, ast.JoinedStr):
-            return
-        if isinstance(n, ast.Constant) and isinstance(n.value, str):
-            found.append(n.value)
-        for child in ast.iter_child_nodes(n):
-            walk(child)
-
-    walk(node)
-    return found

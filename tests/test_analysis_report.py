@@ -111,6 +111,16 @@ def _fake_result(
     )
 
 
+def _k1_line(flight_time):
+    """One JSONL record line for spec key ``k1`` with the given flight time."""
+    record = {
+        "key": "k1",
+        "meta": {},
+        "result": mission_result_to_dict(_fake_result(flight_time=flight_time)),
+    }
+    return json.dumps(record) + "\n"
+
+
 # ------------------------------------------------------- first-alarm fields
 class TestFirstAlarmRoundTrip:
     def test_round_trip_exact(self):
@@ -357,6 +367,19 @@ class TestStreamingAggregator:
         assert group1.all_flight_times == group2.all_flight_times
         assert first.unique_missions == second.unique_missions == 1
 
+    def test_conflicting_keys_count_only_differing_winners(self, tmp_path):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        a.write_text(_k1_line(10.0))
+        b.write_text(_k1_line(42.0))
+        assert StreamingAggregator([a, b]).conflicting_keys == 1
+        # Identical copies in two shards are duplicates, not a conflict.
+        b.write_text(_k1_line(10.0))
+        assert StreamingAggregator([a, b]).conflicting_keys == 0
+        # A shard overriding its own record supersedes it: no conflict.
+        a.write_text(_k1_line(10.0) + _k1_line(42.0))
+        assert StreamingAggregator([a]).conflicting_keys == 0
+
     def test_torn_tail_skipped(self, tmp_path, campaign_store):
         torn = tmp_path / "torn.jsonl"
         torn.write_text(campaign_store.read_text() + '{"key": "torn-li')
@@ -514,6 +537,78 @@ class TestReportValidator:
         with pytest.raises(ValueError, match="golden_checked_samples"):
             validate_report(report)
 
+    def test_message_names_the_path_not_the_document(self, campaign_store):
+        report = self._valid(campaign_store)
+        report["groups"][0]["qof"] = [report["groups"][0]["qof"]]
+        with pytest.raises(ValueError) as caught:
+            validate_report(report)
+        assert str(caught.value) == (
+            "invalid repro-report-v1 report: groups[0].qof must be an object, got list"
+        )
+
+    # Holes the hand-written validator left open: missing keys, wrong types,
+    # unknown keys and bools standing in for numbers.
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda r: r["groups"][0].pop("detector"), r"groups\[0\]\.detector"),
+            (lambda r: r["groups"][0].update(detector=5), r"groups\[0\]\.detector"),
+            (
+                lambda r: r["groups"][0]["confidence"]["success_rate"].update(
+                    confidence="x"
+                ),
+                r"groups\[0\]\.confidence\.success_rate\.confidence",
+            ),
+            (
+                lambda r: r["detection_accuracy"][0].update(environment=None),
+                r"detection_accuracy\[0\]\.environment",
+            ),
+            (
+                lambda r: r["detection_accuracy"][0].pop("scenario"),
+                r"detection_accuracy\[0\]\.scenario",
+            ),
+            (lambda r: r["recovery"][0].update(scenario=7), r"recovery\[0\]\.scenario"),
+            (lambda r: r.update(extra=1), "extra"),
+            (
+                lambda r: r["groups"][0]["qof"].update(success_rate=True),
+                r"groups\[0\]\.qof\.success_rate",
+            ),
+            (lambda r: r["bootstrap"].update(seed=True), r"bootstrap\.seed"),
+            (
+                lambda r: r["records"].update(duplicates_dropped=False),
+                r"records\.duplicates_dropped",
+            ),
+            (
+                lambda r: next(
+                    g["flight_time_distribution"]
+                    for g in r["groups"]
+                    if g["flight_time_distribution"] is not None
+                ).update(count=True),
+                r"flight_time_distribution\.count",
+            ),
+        ],
+        ids=[
+            "detector-missing",
+            "detector-int",
+            "interval-confidence-str",
+            "accuracy-environment-null",
+            "accuracy-scenario-missing",
+            "recovery-scenario-int",
+            "unknown-top-level-key",
+            "success-rate-bool",
+            "bootstrap-seed-bool",
+            "duplicates-dropped-bool",
+            "distribution-count-bool",
+        ],
+    )
+    def test_rejects_shape_holes(self, campaign_store, mutate, match):
+        report = self._valid(campaign_store)
+        assert report["detection_accuracy"] and report["recovery"]
+        mutate(report)
+        with pytest.raises(ValueError, match=match):
+            validate_report(report)
+
 
 # ---------------------------------------------------------------- bootstrap
 class TestBootstrapCI:
@@ -594,6 +689,19 @@ class TestReportCli:
     def test_cli_report_needs_results_or_validate(self, capsys):
         assert main(["report"]) == 2
         assert "needs --results" in capsys.readouterr().err
+
+    def test_cli_report_warns_about_conflicting_records(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        a.write_text(_k1_line(10.0))
+        b.write_text(_k1_line(42.0))
+        out = tmp_path / "report.json"
+        assert main(
+            ["report", "--results", str(a), str(b), "--out", str(out), "--quiet"]
+        ) == 0
+        assert "WARNING: 1 spec key(s) have conflicting records" in capsys.readouterr().err
+        records = json.loads(out.read_text())["records"]
+        assert (records["duplicates_dropped"], records["conflicting_keys"]) == (1, 1)
 
     def test_cli_report_shard_order_invariant(self, tmp_path, campaign_store):
         lines = campaign_store.read_text().splitlines()

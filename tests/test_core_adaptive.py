@@ -481,6 +481,26 @@ class TestPlanValidation:
 
         self._corrupt(plan, mutate)
 
+    # Holes the hand-written validator left open.
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p["rounds"][0].pop("runs_used"),
+            lambda p: p["rounds"][0].update(runs_used="x"),
+            lambda p: p["cells"][0]["wilson"].update(confidence="x"),
+            lambda p: p.update(extra=1),
+        ],
+        ids=[
+            "runs-used-missing",
+            "runs-used-str",
+            "wilson-confidence-str",
+            "unknown-top-level-key",
+        ],
+    )
+    def test_rejects_shape_holes(self, plan, mutate):
+        self._corrupt(plan, mutate)
+
 
 class TestReportIngestion:
     def test_report_consumes_adaptive_shard_unchanged(self, tmp_path):

@@ -32,6 +32,7 @@ class TestSerialisation:
     def test_round_trip_is_exact(self, sample_result):
         data = mission_result_to_dict(sample_result)
         restored = mission_result_from_dict(data)
+        assert mission_result_to_dict(restored) == data
         assert mission_results_equal(sample_result, restored)
         assert restored.flight_time == sample_result.flight_time
         assert restored.trajectory.shape == sample_result.trajectory.shape

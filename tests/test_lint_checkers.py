@@ -375,7 +375,7 @@ def test_checker_catalog_is_complete():
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
     ]
     assert [c.code for c in PROJECT_CHECKERS] == [
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL010", "RL012",
     ]
     for checker_cls in [*ALL_CHECKERS, *PROJECT_CHECKERS]:
         assert checker_cls.description

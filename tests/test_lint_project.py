@@ -35,7 +35,7 @@ from repro.lint.project import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-PROJECT_CODES = ["RL008", "RL009", "RL010", "RL011", "RL012"]
+PROJECT_CODES = ["RL008", "RL009", "RL010", "RL012"]
 
 
 def project(tmp_path: Path, files: dict) -> Path:
@@ -150,7 +150,7 @@ class TestProjectIndex:
         assert list(cls.fields) == ["seed", "index"]
         assert set(info.functions) == {"RunSpec.key", "execute"}
 
-    def test_find_class_and_find_function(self, tmp_path):
+    def test_find_class(self, tmp_path):
         root = project(
             tmp_path,
             {
@@ -167,10 +167,7 @@ class TestProjectIndex:
         located = index.find_class("RunSpec")
         assert located is not None
         assert located[0].module == "repro.core.executor"
-        found = index.find_function("repro/core/executor.py", "RunSpec.key")
-        assert found is not None and found[1].name == "key"
         assert index.find_class("Missing") is None
-        assert index.find_function("repro/core/executor.py", "nope") is None
 
     def test_graph_dict_artifact(self, tmp_path):
         root = project(
@@ -579,107 +576,6 @@ def pinned():
             },
         )
         assert lint(root, ["RL010"]).findings == []
-
-
-# --------------------------------------------------------- RL011 schema drift
-def baseline_module(emit_extra="", check_extra=""):
-    """A fixture emitter/validator pair for the repro-lint-baseline-v1 contract."""
-    return f"""\
-def save_baseline(path, findings):
-    payload = {{
-        "schema": "repro-lint-baseline-v1",
-        "findings": [
-            {{"code": f.code, "path": f.path, "fingerprint": f.fingerprint{emit_extra}}}
-            for f in findings
-        ],
-    }}
-    return payload
-
-
-def load_baseline_entries(path):
-    data = {{"schema": "", "findings": []}}
-    entries = []
-    for row in data["findings"]:
-        entries.append((row["code"], row["path"], row["fingerprint"]{check_extra}))
-    return data["schema"], entries
-"""
-
-
-class TestSchemaDrift:
-    def test_matching_emitter_and_validator_are_clean(self, tmp_path):
-        root = project(
-            tmp_path,
-            {"src/repro/lint/baseline.py": baseline_module()},
-        )
-        assert lint(root, ["RL011"]).findings == []
-
-    def test_emitted_but_unchecked_key_is_flagged(self, tmp_path):
-        root = project(
-            tmp_path,
-            {
-                "src/repro/lint/baseline.py": baseline_module(
-                    emit_extra=', "extra": 1'
-                )
-            },
-        )
-        (finding,) = lint(root, ["RL011"]).findings
-        assert "'extra' is emitted by save_baseline" in finding.message
-        assert "never checked" in finding.message
-
-    def test_checked_but_never_emitted_key_is_flagged(self, tmp_path):
-        root = project(
-            tmp_path,
-            {
-                "src/repro/lint/baseline.py": baseline_module(
-                    check_extra=', row["ghost"]'
-                )
-            },
-        )
-        (finding,) = lint(root, ["RL011"]).findings
-        assert "checks key 'ghost'" in finding.message
-        assert "no longer exists" in finding.message
-
-    def test_fstring_mention_does_not_count_as_a_check(self, tmp_path):
-        source = baseline_module(emit_extra=', "extra": 1').replace(
-            "    return data[\"schema\"], entries",
-            "    note = f\"{'extra'} is prose, not a check\"\n"
-            "    return data[\"schema\"], entries, note",
-        )
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        (finding,) = lint(root, ["RL011"]).findings
-        assert "'extra'" in finding.message
-
-    def test_plain_constant_mention_counts_as_a_check(self, tmp_path):
-        source = baseline_module(emit_extra=', "extra": 1').replace(
-            "    entries = []",
-            '    optional = ("extra",)\n    entries = list(optional[:0])',
-        )
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        assert lint(root, ["RL011"]).findings == []
-
-    def test_partial_tree_skips_contract(self, tmp_path):
-        # No validator function: the contract must not produce phantom drift.
-        source = baseline_module(emit_extra=', "extra": 1').split(
-            "def load_baseline_entries"
-        )[0]
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        assert lint(root, ["RL011"]).findings == []
-
-    def test_pragma_on_emit_line_suppresses(self, tmp_path):
-        source = baseline_module(emit_extra=', "extra": 1').replace(
-            "for f in findings",
-            "for f in findings"
-            "  # repro-lint: disable=RL011 extra is a debugging aid, never read back",
-        )
-        # The emitted-key finding anchors at the dict-literal line; excuse it
-        # with a standalone pragma on the preceding line instead.
-        source = source.replace(
-            '            {"code"',
-            "            # repro-lint: disable=RL011 extra is a debugging aid\n"
-            '            {"code"',
-        )
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        assert lint(root, ["RL011"]).findings == []
 
 
 # ------------------------------------------------------ RL012 pickle boundary
