@@ -324,7 +324,6 @@ def run_campaign_bench(
                     fleet.get("duplicate_cursor_builds", 0)
                 ),
                 "cursors_built": int(fleet.get("cursors_built", 0)),
-                "snapshots_restored": int(fleet.get("snapshots_restored", 0)),
                 "forks": int(fleet.get("forks", 0)),
             }
         )
@@ -509,7 +508,6 @@ CAMPAIGN_REPORT_SHAPE = shape.Obj(
                 parallel_efficiency=shape.POSITIVE,
                 duplicate_cursor_builds=shape.COUNT,
                 cursors_built=shape.COUNT,
-                snapshots_restored=shape.COUNT,
                 forks=shape.COUNT,
             ),
             nonempty=True,

@@ -681,7 +681,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         knobs.set_env("MAVFI_RUNS", str(args.runs))
     settings = _settings_list(args.settings)
-    scenarios = [s.strip() for s in (args.scenario or "").split(",") if s.strip()]
+    # Repeated names sweep once, the first occurrence winning (like settings).
+    scenarios = list(
+        dict.fromkeys(s.strip() for s in (args.scenario or "").split(",") if s.strip())
+    )
     for name in scenarios:
         get_scenario(name)  # Fail fast on a typo, before anything flies.
     if not scenarios and args.env not in EXTENDED_ENVIRONMENT_NAMES:

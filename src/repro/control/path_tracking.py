@@ -307,8 +307,7 @@ class ControlNode(KernelNode):
             return f"{self.name}: tracked trajectory corrupted at {corruption}"
 
         # A callable object, not a closure: the armed fault must survive
-        # golden-prefix deepcopy forks and cursor snapshots (see
-        # _MessageFieldCorruption).
+        # golden-prefix deepcopy forks (see _MessageFieldCorruption).
         self.arm_output_fault(
             PendingFault(
                 corrupt=_MessageFieldCorruption(self, bit, label="command"),

@@ -39,7 +39,6 @@ belt-and-braces mode used by the bit-identity gates in tests and CI.
 from __future__ import annotations
 
 import copy
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
@@ -100,7 +99,6 @@ _RAW_COUNTERS = (
     "cursor_hits",
     "forks",
     "golden_served",
-    "snapshots_restored",
     "forked_prefix_sim_seconds",
     "cursor_sim_seconds",
 )
@@ -130,8 +128,6 @@ class CheckpointStats:
     forks: int = 0
     #: Golden (fault-free) runs served by forking a completed cursor.
     golden_served: int = 0
-    #: Cursors restored from a serialized snapshot (spawn-platform workers).
-    snapshots_restored: int = 0
     #: Simulated seconds the forks did *not* re-fly (sum of fork-point times).
     forked_prefix_sim_seconds: float = 0.0
     #: Simulated seconds the cursors themselves flew (the shared cost).
@@ -181,7 +177,6 @@ class CheckpointStats:
             "cursor_hits": self.cursor_hits,
             "forks": self.forks,
             "golden_served": self.golden_served,
-            "snapshots_restored": self.snapshots_restored,
             "forked_prefix_sim_seconds": self.forked_prefix_sim_seconds,
             "cursor_sim_seconds": self.cursor_sim_seconds,
             "prefix_sim_seconds_saved": self.prefix_sim_seconds_saved,
@@ -297,28 +292,6 @@ class GoldenPrefixCursor:
         handles = copy.deepcopy(self.handles, memo)
         return handles, self.t
 
-    # ------------------------------------------------------------ serializing
-    def snapshot_blob(self, prefix_key: str) -> bytes:
-        """The cursor as a compact pickled snapshot (spawn-platform shipping).
-
-        Snapshots are only taken for detector-free cursors: a cursor flown
-        with a live detector is guarded by *object identity*
-        (``detector_source``), which cannot survive a process boundary.  The
-        whole pipeline of a freshly-built cursor serializes to a few tens of
-        kilobytes, so shipping one per prefix group is far cheaper than
-        having every spawn-started worker rebuild (world generation, planner
-        construction) from scratch.
-        """
-        if self.detector_source is not None:
-            raise ValueError("detector-bearing cursors cannot be snapshotted")
-        return pickle.dumps((prefix_key, self), protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def restore_blob(blob: bytes) -> "tuple[str, GoldenPrefixCursor]":
-        """Inverse of :meth:`snapshot_blob`: ``(prefix_key, cursor)``."""
-        prefix_key, cursor = pickle.loads(blob)
-        return prefix_key, cursor
-
 
 # ---------------------------------------------------------------- the manager
 class CheckpointManager:
@@ -358,33 +331,6 @@ class CheckpointManager:
         else:
             self.stats.cursor_hits += 1
         self._cursors.move_to_end(key)
-        while len(self._cursors) > self.max_cursors:
-            self._cursors.popitem(last=False)
-        return cursor
-
-    def prebuild(self, spec: "RunSpec", detector: Optional[object]) -> GoldenPrefixCursor:
-        """Build (but do not advance) the cursor for ``spec``'s prefix.
-
-        Used by the parallel executor's fork warm-up: cursors built in the
-        parent before the pool forks are inherited copy-on-write by every
-        worker, so the first spec of each pre-built group starts from a ready
-        pipeline instead of rebuilding one per process.
-        """
-        return self._cursor_for(spec, detector, needed_before=float("inf"))
-
-    def seed_snapshot(self, blob: bytes) -> Optional[GoldenPrefixCursor]:
-        """Adopt a serialized cursor snapshot (spawn-platform warm-up).
-
-        The snapshot is ignored when a cursor for the same prefix already
-        exists (the worker has been warmed by an earlier task of the same
-        group -- its own cursor is at least as far along).
-        """
-        prefix_key, cursor = GoldenPrefixCursor.restore_blob(blob)
-        if prefix_key in self._cursors:
-            return self._cursors[prefix_key]
-        self._cursors[prefix_key] = cursor
-        self.stats.snapshots_restored += 1
-        self._cursors.move_to_end(prefix_key)
         while len(self._cursors) > self.max_cursors:
             self._cursors.popitem(last=False)
         return cursor

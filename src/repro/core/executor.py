@@ -350,11 +350,8 @@ def execute_spec(
     return result
 
 
-#: One pool task: the (position, spec) pairs of one whole prefix group, with
-#: an optional serialized golden-prefix cursor snapshot (spawn-platform
-#: warm-up; ``None`` on fork platforms, where cursors are inherited
-#: copy-on-write instead).
-GroupTask = Tuple[Sequence[Tuple[int, "RunSpec"]], Optional[bytes]]
+#: One pool task: the (position, spec) pairs of one whole prefix group.
+GroupTask = Sequence[Tuple[int, "RunSpec"]]
 
 
 def _execute_group_task(
@@ -382,12 +379,9 @@ def _execute_group_task(
     from repro.core import checkpoint
 
     before = checkpoint.checkpoint_stats().raw_dict()
-    pairs, blob = task
-    if blob is not None and checkpoint.checkpointing_enabled():
-        checkpoint.manager().seed_snapshot(blob)
     entries: List[Tuple[int, str, Optional[MissionResult]]] = []
     events: List[FailureRecord] = []
-    for pos, spec in pairs:
+    for pos, spec in task:
         status, result, _ = guarded_execute(
             spec,
             None,
@@ -445,22 +439,17 @@ def _drop_failure(record: FailureRecord) -> None:
     """Failure sink for callers that pass no ``on_failure``."""
 
 
-def _init_worker(payload: Optional[Dict]) -> None:
-    """Pool initializer: adopt the parent's shipped construction state.
+def _init_worker(detectors: Mapping[Tuple, object]) -> None:
+    """Pool initializer: adopt the detectors the parent reconstructed.
 
-    ``payload`` is ``None`` on fork platforms (children inherit the parent's
-    caches copy-on-write, which is both cheaper and more complete); on spawn
-    platforms it carries the generated worlds and reconstructed detectors the
-    scheduled specs need, so workers skip world generation and detector
-    training entirely.
+    ``detectors`` holds :data:`_PROCESS_DETECTORS` entries, keyed the same
+    way, so the worker's specs find them instead of training again.  A
+    ``fork`` worker inherits the mapping at no cost; a ``spawn`` worker
+    receives it pickled, once.  Everything else a worker builds itself on
+    first use -- the generated worlds and each group's golden-prefix cursor
+    -- because rebuilding a cursor costs less than pickling one.
     """
-    if payload is None:
-        return
-    from repro.pipeline import builder
-
-    builder.seed_world_cache(payload.get("worlds", {}))
-    if construction_caches_enabled():
-        _PROCESS_DETECTORS.update(payload.get("detectors", {}))
+    _PROCESS_DETECTORS.update(detectors)
 
 
 def cache_order_key(spec: RunSpec):
@@ -640,14 +629,14 @@ class ParallelExecutor:
     clamp leaves one worker, the batch runs serially in-process -- parallel
     dispatch never loses to serial by oversubscribing cores.
 
-    Workers start warm: on ``fork`` platforms the parent pre-generates worlds,
-    reconstructs detectors and pre-builds golden cursors for the costliest
-    groups, all inherited copy-on-write; on spawn platforms the same state
-    ships explicitly (worlds and detectors via the pool initializer, cursors
-    as compact pickled snapshots riding with each group).  In-memory detector
-    mappings are deliberately **not** shipped -- each worker reconstructs the
-    detectors its specs name from the campaign configuration, so only plain
-    data crosses the process boundary.
+    Every start method warms workers the same way.  The parent reconstructs
+    the detectors the batch names -- training is the one warm-up that costs
+    seconds -- and hands them to the pool initializer, so ``fork`` workers
+    inherit them and ``spawn`` workers unpickle them once.  Each worker then
+    generates its own worlds and builds each group's golden-prefix cursor on
+    first use, which costs less than shipping a pickled cursor.  In-memory
+    detector mappings passed to :meth:`map` are deliberately **not** shipped
+    -- only detectors reconstructible from the campaign configuration are.
 
     After each :meth:`map`, ``last_effective_workers`` holds the worker count
     actually used and ``last_checkpoint_stats`` the fleet-wide aggregated
@@ -691,64 +680,21 @@ class ParallelExecutor:
             workers = min(workers, os.cpu_count() or 1)
         return workers
 
-    def _warm_caches(self, specs: Sequence[RunSpec]) -> Dict:
-        """Generate the specs' worlds and reconstruct their detectors here.
-
-        Fork-started workers inherit both copy-on-write; the returned payload
-        ships them to spawn-started workers through the pool initializer.
-        Empty (and nothing warmed) when ``REPRO_NO_CACHE`` is set.
-        """
-        from repro.pipeline import builder
-
-        payload: Dict = {"worlds": {}, "detectors": {}}
-        if not construction_caches_enabled():
-            return payload
-        for spec in specs:
-            key = builder.world_key_for(pipeline_config_for(spec))
-            if key is not None and key not in payload["worlds"]:
-                payload["worlds"][key] = builder.world_for(*key)
-        for spec in specs:
-            if spec.detector in RECONSTRUCTIBLE_DETECTORS:
-                _reconstruct_detector(spec)
-        payload["detectors"] = dict(_PROCESS_DETECTORS)
-        return payload
-
     @staticmethod
-    def _prebuild_cursors(groups: Sequence[Sequence[Tuple[int, RunSpec]]]) -> None:
-        """Pre-build golden cursors for fork-started workers to inherit.
+    def _warm_detectors(specs: Sequence[RunSpec]) -> Dict[Tuple, object]:
+        """Reconstruct the detectors ``specs`` name; the initializer's argument.
 
-        Only the costliest groups, up to the manager's LRU capacity (groups
-        arrive LPT-ordered, so the first ones are the expensive ones); none
-        under ``REPRO_NO_CHECKPOINT``.
+        Returns the :data:`_PROCESS_DETECTORS` entries those specs resolve
+        to.  Empty, with nothing trained, when ``REPRO_NO_CACHE`` is set.
         """
-        from repro.core import checkpoint
-
-        if not checkpoint.checkpointing_enabled():
-            return
-        for group in groups[: checkpoint.manager().max_cursors]:
-            spec = group[0][1]
-            if checkpoint.supports_spec(spec):
-                checkpoint.manager().prebuild(spec, _resolve_detector(spec, None))
-
-    def _group_snapshot(self, pairs: Sequence[Tuple[int, RunSpec]]) -> Optional[bytes]:
-        """Serialized golden-prefix cursor for one group (spawn warm-up).
-
-        Only detector-free groups are snapshotted: the checkpoint manager
-        guards detector-bearing cursors by *object identity*, which cannot
-        survive a spawn boundary (fork preserves it copy-on-write).  The
-        cursor is built directly -- outside the parent's manager -- so the
-        parent LRU is not churned and the build is not double-counted against
-        the worker that adopts the snapshot.
-        """
-        from repro.core import checkpoint
-
-        spec = pairs[0][1]
-        if not (checkpoint.checkpointing_enabled() and checkpoint.supports_spec(spec)):
-            return None
-        if spec.detector is not None:
-            return None
-        cursor = checkpoint.GoldenPrefixCursor(spec, None)
-        return cursor.snapshot_blob(spec.prefix_key())
+        if not construction_caches_enabled():
+            return {}
+        named = {
+            id(_reconstruct_detector(spec))
+            for spec in specs
+            if spec.detector in RECONSTRUCTIBLE_DETECTORS
+        }
+        return {key: obj for key, obj in _PROCESS_DETECTORS.items() if id(obj) in named}
 
     def map(
         self,
@@ -816,8 +762,8 @@ class ParallelExecutor:
             self._pool_map(
                 specs, groups, workers, results, stats, policy, on_result, on_failure
             )
-        # Fold in what the parent itself did (in-process specs, fork warm-up
-        # cursor builds), so duplicate accounting spans the whole fleet.
+        # Fold in what the parent itself flew (the one-worker fallback, the
+        # degraded tail), so duplicate accounting spans the whole fleet.
         stats.merge(checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before))
         self.last_checkpoint_stats = stats
         return results
@@ -872,14 +818,7 @@ class ParallelExecutor:
         import time  # harness watchdog only; sim time stays on the middleware clock
 
         ctx = multiprocessing.get_context(self.start_method)
-        payload: Optional[Dict] = self._warm_caches(specs)
-        if ctx.get_start_method() == "fork":
-            # Children inherit the warm caches and cursors copy-on-write.
-            self._prebuild_cursors(groups)
-            payload = None
-            tasks: List[GroupTask] = [(pairs, None) for pairs in groups]
-        else:
-            tasks = [(pairs, self._group_snapshot(pairs)) for pairs in groups]
+        detectors = self._warm_detectors(specs)
         schedule = policy.chaos()
         attempts: Dict[str, int] = {}
         strikes: Dict[str, int] = {}
@@ -913,10 +852,10 @@ class ParallelExecutor:
 
         def requeue(pos: int, spec: RunSpec, base: int) -> None:
             attempts[spec.key()] = base
-            pending.append((([(pos, spec)], None), {spec.key(): base}))
+            pending.append(([(pos, spec)], {spec.key(): base}))
 
         def live(task: GroupTask) -> List[Tuple[int, RunSpec]]:
-            return [(pos, spec) for pos, spec in task[0] if spec.key() not in quarantined]
+            return [(pos, spec) for pos, spec in task if spec.key() not in quarantined]
 
         def harvest(value: Tuple) -> None:
             entries, events, delta = value
@@ -937,7 +876,7 @@ class ParallelExecutor:
                 # "failed": every attempt's record already rode in events.
 
         pending: Deque[Tuple[GroupTask, Dict[str, int]]] = deque(
-            (task, {}) for task in tasks
+            (pairs, {}) for pairs in groups
         )
         respawns = 0
         while pending and respawns <= policy.max_pool_respawns:
@@ -945,17 +884,16 @@ class ParallelExecutor:
                 max_workers=workers,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(payload,),
+                initargs=(detectors,),
             )
             in_flight: Dict = {}
             try:
                 while pending or in_flight:
                     while pending and len(in_flight) < workers:
                         task, bases = pending.popleft()
-                        pairs = live(task)
-                        if not pairs:
+                        task = live(task)
+                        if not task:
                             continue
-                        task = (pairs, task[1])
                         future = pool.submit(
                             _execute_group_task, task, policy, schedule, bases
                         )
@@ -999,7 +937,7 @@ class ParallelExecutor:
                         harvest(future.result())
                         continue
                     dispositions = attribute_lost_task(
-                        task[0], policy, schedule, attempts, emit,
+                        task, policy, schedule, attempts, emit,
                         crashed=not timed_out,
                     )
                     expired = timed_out and deadline is not None and now >= deadline

@@ -55,18 +55,6 @@ def _parse_runs_scale(name: str, raw: str) -> float:
     return max(value, 0.01)
 
 
-def _parse_worker_count(name: str, raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a non-negative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
-    return value
-
-
 def _parse_str(name: str, raw: str) -> str:
     return raw
 
@@ -236,7 +224,7 @@ WORKERS = _register(Knob(
         "serial); the --workers CLI flag overrides it."
     ),
     default="1 (serial)",
-    parse=_parse_worker_count,
+    parse=_parse_nonneg_int,
 ))
 
 OVERSUBSCRIBE = _register(Knob(

@@ -85,7 +85,7 @@ class _PointElementCorruption:
     """One-shot single-bit corruption of one point-cloud coordinate.
 
     A callable object, not a closure, so a pipeline with an armed fault stays
-    deep-copyable and picklable under golden-prefix forking/snapshotting.
+    deep-copyable under golden-prefix forking.
     """
 
     def __init__(self, bit: int) -> None:

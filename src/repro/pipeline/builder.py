@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,37 +99,6 @@ def world_for(environment: str, seed: int) -> World:
 def world_cache_stats() -> Dict[str, int]:
     """Hit/miss counters of the per-process world cache."""
     return dict(_WORLD_CACHE_STATS)
-
-
-def world_key_for(config: "PipelineConfig") -> Optional[Tuple[str, int]]:
-    """The world-cache key a pipeline built from ``config`` would use.
-
-    ``None`` for in-memory :class:`World` environments, which never enter the
-    cache.  Used by the parallel executor's warm-up to pre-generate (fork) or
-    ship (spawn) exactly the worlds a spec batch needs.
-    """
-    scenario = config.resolved_scenario()
-    if scenario is not None:
-        return (str(scenario.environment), int(_effective_env_seed(config, scenario)))
-    if isinstance(config.environment, World):
-        return None
-    return (str(config.environment), int(config.env_seed))
-
-
-def seed_world_cache(worlds: Mapping[Tuple[str, int], World]) -> None:
-    """Adopt pre-built worlds into the per-process cache (spawn warm-up).
-
-    A no-op when the construction caches are disabled; existing entries win
-    over shipped ones (they are identical by construction -- worlds are
-    deterministic in their key -- so either instance serves).
-    """
-    if not construction_caches_enabled():
-        return
-    for key, world in worlds.items():
-        if key not in _WORLD_CACHE:
-            _WORLD_CACHE[(str(key[0]), int(key[1]))] = world
-    while len(_WORLD_CACHE) > _WORLD_CACHE_MAX:
-        _WORLD_CACHE.popitem(last=False)
 
 
 def reset_world_cache() -> None:

@@ -106,12 +106,10 @@ class PendingFault:
 class _MessageFieldCorruption:
     """One-shot single-bit corruption of a kernel's next published message.
 
-    A callable object rather than a closure so that a pipeline with an armed
-    fault stays deep-copyable *and* picklable: golden-prefix forking rebinds
-    the corruption to the copied node through the deepcopy memo, and cursor
-    snapshots (spawn-platform worker handoff) can serialize it.  The nested
-    function this replaces pinned the original node through its closure cell
-    and could not be pickled at all.
+    A callable object rather than a closure so that golden-prefix forking
+    rebinds the corruption to the copied node through the deepcopy memo.  The
+    nested function this replaces pinned the original node through its
+    closure cell, so a fork kept corrupting the original node's messages.
     """
 
     def __init__(self, node: "KernelNode", bit: int, label: str = "output") -> None:

@@ -10,8 +10,7 @@ up here before it runs the planner (:func:`memoized_plan`).
 The memo is part of the construction-cache layer: it is active exactly when
 ``REPRO_NO_CACHE`` is unset, and
 :func:`repro.core.checkpoint.reset_checkpoint_caches` clears it.  No pipeline
-object references it, so checkpoint forks, cursor snapshots and pool workers
-never copy it.
+object references it, so checkpoint forks and pool workers never copy it.
 
 The key is a sha256 digest of the planner's class and every instance
 attribute, and of the problem's class and every dataclass field.  Both lists

@@ -107,13 +107,22 @@ def test_campaign_with_scenario(tmp_path, capsys):
     assert "patrol-farm:golden" in capsys.readouterr().out
 
 
-def test_campaign_scenario_sweep(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "scenarios, golden, labels",
+    [
+        ("patrol-farm,blind-farm", "1", ("patrol-farm:golden", "blind-farm:golden")),
+        # A repeated name sweeps once, like a repeated setting.
+        ("patrol-farm,patrol-farm", "2", ("patrol-farm:golden",)),
+    ],
+)
+def test_campaign_scenario_sweep(tmp_path, capsys, scenarios, golden, labels):
     assert main(
-        _campaign_args(tmp_path, "--scenario", "patrol-farm,blind-farm", "--golden", "1")
+        _campaign_args(tmp_path, "--scenario", scenarios, "--golden", golden)
     ) == 0
     out = capsys.readouterr().out
-    assert "patrol-farm:golden" in out
-    assert "blind-farm:golden" in out
+    assert "specs=2 " in out
+    runs = [int(re.search(rf"^{label}\s+(\d+)\s", out, re.M).group(1)) for label in labels]
+    assert sum(runs) == 2
     assert len(JsonlResultStore(tmp_path / "results.jsonl")) == 2
 
 

@@ -165,9 +165,9 @@ class TestPrefixAffinityScheduling:
     def _engine_defaults(self, monkeypatch):
         """Default engine knobs for every scheduling test.
 
-        The stats-aggregation and snapshot-adoption tests assert checkpoint
-        bookkeeping, which the ``REPRO_NO_CACHE``/``REPRO_NO_CHECKPOINT``
-        escape hatches (exercised suite-wide by a CI leg) would disable.
+        The stats-aggregation and spawn tests assert checkpoint bookkeeping,
+        which the ``REPRO_NO_CACHE``/``REPRO_NO_CHECKPOINT`` escape hatches
+        (exercised suite-wide by a CI leg) would disable.
         Worker processes inherit the cleaned environment on fork and spawn.
         """
         from repro.core import checkpoint
@@ -258,9 +258,9 @@ class TestPrefixAffinityScheduling:
         assert stats.duplicate_cursor_builds == 0
         assert set(stats.built_prefixes) == {s.prefix_key() for s in specs}
 
-    def test_spawn_workers_adopt_snapshots(self):
-        """Spawn-started workers restore shipped cursor snapshots instead of
-        rebuilding, and still match the serial stream bit for bit."""
+    def test_spawn_workers_build_every_cursor_once(self):
+        """Spawn-started workers build each group's cursor themselves, are
+        counted like fork workers, and match the serial stream bit for bit."""
         campaign = _fast_campaign(num_golden=2, num_injections_per_stage=1)
         specs = _small_specs(campaign)
         serial = campaign.run_specs(specs, executor=SerialExecutor())
@@ -268,12 +268,13 @@ class TestPrefixAffinityScheduling:
             workers=2, start_method="spawn", oversubscribe=True
         )
         parallel = campaign.run_specs(specs, executor=executor)
+        assert len(parallel) == len(serial)
         for left, right in zip(serial, parallel):
             assert mission_results_equal(left, right)
         stats = executor.last_checkpoint_stats
         assert stats is not None
-        assert stats.snapshots_restored >= 1
         assert stats.duplicate_cursor_builds == 0
+        assert set(stats.built_prefixes) == {s.prefix_key() for s in specs}
 
 
 class TestDetectorResolution:
@@ -324,12 +325,18 @@ class TestDetectorResolution:
         with pytest.raises(ValueError, match="detector_cache_dir"):
             campaign.run_specs(specs, executor=ParallelExecutor(workers=2))
 
-    def test_dr_equivalence_with_cached_detectors(self, tmp_path):
-        """Serial and parallel D&R runs agree when detectors come from a cache."""
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_dr_equivalence_with_cached_detectors(self, tmp_path, start_method):
+        """Serial and pool D&R runs agree when detectors come from a cache.
+
+        Two prefix groups start a real two-worker pool; under ``spawn`` the
+        parent's detectors reach the workers pickled, through the pool
+        initializer.
+        """
         config = CampaignConfig(
             environment="farm",
-            num_golden=1,
-            num_injections_per_stage=1,
+            num_golden=2,
+            num_injections_per_stage=2,
             mission_time_limit=60.0,
             training_environments=2,
             detector_cache_dir=tmp_path,
@@ -338,10 +345,14 @@ class TestDetectorResolution:
         specs = serial_campaign.stage_injection_specs(
             RunSetting.DR_GAUSSIAN, detector=DETECTOR_GAUSSIAN, stages=("planning",)
         )
+        assert len({spec.prefix_key() for spec in specs}) == 2
         serial = serial_campaign.run_specs(specs, executor=SerialExecutor())
-        parallel = Campaign(config).run_specs(
-            specs, executor=ParallelExecutor(workers=2)
+        executor = ParallelExecutor(
+            workers=2, oversubscribe=True, start_method=start_method
         )
+        parallel = Campaign(config).run_specs(specs, executor=executor)
+        assert executor.last_effective_workers == 2
+        assert len(parallel) == len(serial)
         for left, right in zip(serial, parallel):
             assert mission_results_equal(left, right)
 

@@ -2,9 +2,9 @@
 
 Each of these classes replaced a closure that repro lint RL003 now bans:
 closures pin the original node through their cells (a deep-copied pipeline
-kept corrupting the *original* node's messages) and cannot be pickled into
-cursor snapshots at all.  A callable object rebinds through the deepcopy
-memo and pickles, which is exactly what these tests pin down.
+kept corrupting the *original* node's messages) and cannot be pickled at
+all.  A callable object rebinds through the deepcopy memo and pickles, which
+is exactly what these tests pin down.
 """
 
 import copy
