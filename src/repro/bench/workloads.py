@@ -27,7 +27,7 @@ from repro.detection.autoencoder import AadDetector, AutoencoderConfig
 from repro.detection.gaussian import GadConfig, GaussianDetector
 from repro.perception.point_cloud import PointCloudGenerator
 from repro.pipeline.states import MONITORED_FEATURES
-from repro.planning.rrt import PLANNER_CLASSES, PlanningProblem, _TreePlannerBase
+from repro.planning.rrt import CERT_SLACK, PLANNER_CLASSES, PlanningProblem, _TreePlannerBase
 from repro.rosmw.message import DepthImageMsg, Waypoint
 from repro.sim.environments import make_environment
 from repro.sim.sensors import CameraConfig, DepthCamera
@@ -288,6 +288,13 @@ def _edge_case_plans() -> List[PlanningCase]:
         ),
         "goal-at-start": PlanningProblem(start=start, goal=start.copy(), occupied_centers=wall),
         "wall-with-gap": PlanningProblem(start=start, goal=goal, occupied_centers=wall),
+        # Inside the bounds, so the exact checks accept both ends, but within
+        # CERT_SLACK of them, so no certificate may cover either.
+        "ends-within-slack-of-bounds": PlanningProblem(
+            start=np.array([-5.0 + CERT_SLACK / 2, 0.0, 2.0]),
+            goal=np.array([40.0, 0.0, 10.0 - CERT_SLACK / 2]),
+            occupied_centers=wall,
+        ),
     }
     cases = []
     for name, problem in problems.items():

@@ -13,9 +13,9 @@ that specs can cross process boundaries).  Executors turn lists of specs into
 * :class:`ParallelExecutor` -- fans specs out over a
   :class:`~concurrent.futures.ProcessPoolExecutor`; worker count comes from
   the ``MAVFI_WORKERS`` environment variable (or the constructor), each pool
-  task is one whole prefix group, and detectors are reconstructed once per
-  worker process from the spec's campaign configuration, so nothing
-  unpicklable is ever shipped to a worker.
+  task is one whole prefix group, and the parent reconstructs the detectors
+  the batch names from each spec's campaign configuration and hands them to
+  the pool initializer; workers build their own worlds and cursors.
 
 Because every mission is fully seeded, the two executors produce bit-identical
 result streams for the same spec list; :func:`execute_specs` additionally

@@ -85,7 +85,7 @@ def _raise_chaos(attempt: int) -> None:
 
 # ------------------------------------------------------------ failure records
 def failure_digest(
-    error_type: str, message: str, frame: Optional[Tuple[str, int, str]] = None
+    error_type: str, message: str, frame: Optional[Tuple[str, str]] = None
 ) -> str:
     """Stable identity of one failure mode (canonical JSON, sha1 prefix)."""
     payload = json.dumps(
@@ -158,15 +158,17 @@ def failure_from_exception(
     """Normalised record of a raising mission attempt.
 
     The digest hashes the exception type, message and innermost traceback
-    frame (basename, line, function) -- all of which are identical whether
-    the spec raised in the parent or in a worker, so serial and parallel
-    campaigns produce identical failure-record sets.
+    frame (file basename and function name) -- all of which are identical
+    whether the spec raised in the parent or in a worker, so serial and
+    parallel campaigns produce identical failure-record sets.  The frame's
+    line number is left out, so editing code above a raise site does not
+    change the failure's identity.
     """
-    frame: Optional[Tuple[str, int, str]] = None
+    frame: Optional[Tuple[str, str]] = None
     tb = exc.__traceback__
     while tb is not None:
         code = tb.tb_frame.f_code
-        frame = (os.path.basename(code.co_filename), tb.tb_lineno, code.co_name)
+        frame = (os.path.basename(code.co_filename), code.co_name)
         tb = tb.tb_next
     error_type = type(exc).__name__
     message = str(exc)

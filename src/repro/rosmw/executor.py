@@ -9,7 +9,6 @@ with the same seed.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import List, Tuple
 
 from repro.rosmw.clock import SimClock
@@ -22,11 +21,18 @@ class Executor:
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self._heap: List[Tuple[float, int, Timer]] = []
-        self._counter = itertools.count()
+        # Tie-break counter: a plain int, because checkpoint forks deep-copy
+        # the executor and ``itertools.count`` cannot be copied on Python 3.14.
+        self._counter = 0
+
+    def _next_count(self) -> int:
+        count = self._counter
+        self._counter = count + 1
+        return count
 
     def register_timer(self, timer: Timer) -> None:
         """Add a timer to the schedule."""
-        heapq.heappush(self._heap, (timer.next_fire, next(self._counter), timer))
+        heapq.heappush(self._heap, (timer.next_fire, self._next_count(), timer))
 
     def pending_count(self) -> int:
         """Number of live timer entries currently scheduled."""
@@ -47,7 +53,7 @@ class Executor:
         """
         self._heap = [entry for entry in self._heap if entry[2] is not timer]
         timer.next_fire = float(fire_time)
-        counter: int = next(self._counter)
+        counter = self._next_count()
         if front:
             counter = min(
                 (entry[1] for entry in self._heap), default=counter
@@ -73,7 +79,7 @@ class Executor:
             timer.node._run_guarded(timer.callback)
             if not timer.cancelled:
                 timer.next_fire = fire_time + timer.period
-                heapq.heappush(self._heap, (timer.next_fire, next(self._counter), timer))
+                heapq.heappush(self._heap, (timer.next_fire, self._next_count(), timer))
         if t > self.clock.now:
             self.clock.set(t)
         return fired

@@ -92,6 +92,26 @@ class TestFailureRecord:
 
         assert capture().traceback_digest == capture().traceback_digest
 
+    def test_digest_names_the_raising_function_not_its_line(self):
+        spec = _fast_campaign().golden_specs()[0]
+
+        def capture(early):
+            try:
+                if early:
+                    raise ValueError("boom")
+                raise ValueError("boom")
+            except ValueError as exc:
+                return failure_from_exception(spec, exc, 0, OUTCOME_RETRIED).traceback_digest
+
+        def capture_elsewhere():
+            try:
+                raise ValueError("boom")
+            except ValueError as exc:
+                return failure_from_exception(spec, exc, 0, OUTCOME_RETRIED).traceback_digest
+
+        assert capture(early=True) == capture(early=False)
+        assert capture_elsewhere() != capture(early=True)
+
     def test_hang_failure_shape(self):
         spec = _fast_campaign().golden_specs()[0]
         record = hang_failure(spec, strike=2, outcome=OUTCOME_QUARANTINED)

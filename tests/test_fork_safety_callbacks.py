@@ -4,11 +4,13 @@ Each of these classes replaced a closure that repro lint RL003 now bans:
 closures pin the original node through their cells (a deep-copied pipeline
 kept corrupting the *original* node's messages) and cannot be pickled at
 all.  A callable object rebinds through the deepcopy memo and pickles, which
-is exactly what these tests pin down.
+is exactly what these tests pin down.  The last test pins down that a
+started node graph holds nothing that a fork cannot deep-copy.
 """
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -107,3 +109,14 @@ def test_control_node_command_fault_survives_fork():
     clone = copy.deepcopy(node)
     assert clone._pending_fault.corrupt.node is clone
     pickle.loads(pickle.dumps(node))
+
+
+def test_started_graph_forks_without_itertools_state(built_pipeline):
+    """A fork deep-copies the node graph; Python 3.14 cannot copy itertools objects."""
+    graph = built_pipeline.graph
+    graph.start_all()
+    graph.spin_until(1.0)
+    assert b"itertools" not in pickle.dumps(graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        copy.deepcopy(graph)
