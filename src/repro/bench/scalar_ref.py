@@ -244,6 +244,8 @@ def scalar_state_valid(problem: PlanningProblem, point: np.ndarray) -> bool:
     if np.any(p < lo) or np.any(p > hi):
         return False
     if problem._tree is None:
+        if np.isnan(p).any():
+            raise ValueError("NaN coordinate in a planning query point")
         return True
     if np.linalg.norm(p - problem.start) < problem.start_escape_radius:
         return True
@@ -358,6 +360,7 @@ def scalar_rrt_star_plan(planner: RRTStarPlanner, problem: PlanningProblem) -> P
     node_array = np.array([problem.start])
     goal_nodes: List[int] = []
     first_goal_iteration: Optional[int] = None
+    iterations = 0
 
     for iteration in range(1, planner.max_iterations + 1):
         if (
@@ -365,6 +368,7 @@ def scalar_rrt_star_plan(planner: RRTStarPlanner, problem: PlanningProblem) -> P
             and iteration - first_goal_iteration > planner.goal_extra_iterations
         ):
             break
+        iterations = iteration
         target = _sample(planner, rng, problem)
         nearest_idx = _nearest(node_array, target)
         new_point = _steer(planner, nodes[nearest_idx], target)
@@ -409,13 +413,13 @@ def scalar_rrt_star_plan(planner: RRTStarPlanner, problem: PlanningProblem) -> P
         return PlannerResult(
             success=True,
             path=path,
-            iterations=planner.max_iterations,
+            iterations=iterations,
             tree_size=len(nodes),
             planner_name=planner.name,
         )
     return PlannerResult(
         success=False,
-        iterations=planner.max_iterations,
+        iterations=iterations,
         tree_size=len(nodes),
         planner_name=planner.name,
     )

@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--task-timeout",
         type=float,
         default=None,
-        help="per-task wall-clock watchdog in seconds (default: off)",
+        help="per-spec wall-clock watchdog in seconds for pool workers (default: off)",
     )
     resilience.add_argument(
         "--quarantine-strikes",

@@ -10,12 +10,14 @@ that specs can cross process boundaries).  Executors turn lists of specs into
 
 * :class:`SerialExecutor` -- runs specs in order in the calling process; the
   default and the reference for determinism.
-* :class:`ParallelExecutor` -- fans specs out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; worker count comes from
-  the ``MAVFI_WORKERS`` environment variable (or the constructor), each pool
-  task is one whole prefix group, and the parent reconstructs the detectors
-  the batch names from each spec's campaign configuration and hands them to
-  the pool initializer; workers build their own worlds and cursors.
+* :class:`ParallelExecutor` -- fans specs out over ``multiprocessing``
+  worker processes, one pipe each; worker count comes from the
+  ``MAVFI_WORKERS`` environment variable (or the constructor), each worker
+  flies one whole prefix group at a time and reports every spec's start,
+  failed attempts and result as they happen, and the parent reconstructs
+  the detectors the batch names from each spec's campaign configuration and
+  hands them to every worker it starts; workers build their own worlds and
+  cursors.
 
 Because every mission is fully seeded, the two executors produce bit-identical
 result streams for the same spec list; :func:`execute_specs` additionally
@@ -24,19 +26,20 @@ deterministic key is already present (resume-from-partial-campaign).
 
 Every dispatch runs under a :class:`~repro.core.resilience.ResiliencePolicy`
 value: the default, ``PASS_THROUGH``, re-raises the first failure; a capturing
-policy turns failures into records, retries them and heals the pool.
+policy turns failures into records, retries them and replaces lost workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import multiprocessing
 import os
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.connection import Connection, wait
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -47,7 +50,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -55,6 +57,7 @@ from typing import (
 from repro.core import knobs
 from repro.core.injector import FaultInjectorNode, FaultPlan
 from repro.core.resilience import (
+    OUTCOME_FAILED,
     OUTCOME_QUARANTINED,
     OUTCOME_RETRIED,
     PASS_THROUGH,
@@ -62,7 +65,7 @@ from repro.core.resilience import (
     FailureCallback,
     FailureRecord,
     ResiliencePolicy,
-    attribute_lost_task,
+    crash_failure,
     guarded_execute,
     hang_failure,
 )
@@ -350,54 +353,109 @@ def execute_spec(
     return result
 
 
-#: One pool task: the (position, spec) pairs of one whole prefix group.
-GroupTask = Sequence[Tuple[int, "RunSpec"]]
+#: One pool task: the (position, spec) pairs of one prefix group (or of the
+#: part of it a lost worker left unflown), in cache order, and the attempts
+#: each spec already used up in earlier workers.
+GroupTask = Tuple[List[Tuple[int, "RunSpec"]], Dict[str, int]]
 
 
-def _execute_group_task(
-    task: GroupTask,
+def _pool_worker(
+    conn: Connection,
+    detectors: Mapping[Tuple, object],
     policy: ResiliencePolicy,
     schedule: Optional[ChaosSchedule],
-    bases: Dict[str, int],
-) -> Tuple[List[Tuple[int, str, Optional[MissionResult]]], List[FailureRecord], Dict]:
-    """Worker entry point: run one prefix group, report the stats delta.
+) -> None:
+    """Pool process entry: fly the prefix groups the parent sends over ``conn``.
 
-    Every spec goes through :func:`~repro.core.resilience.guarded_execute`.
-    The return carries ``(position, status, result)`` triples (status
-    ``"ok"``/``"failed"``/``"hang"``), the failure records the attempts
-    produced, and this task's checkpoint-statistics delta, so the parent can
-    aggregate fleet-wide counters (``duplicate_cursor_builds`` above all)
-    without double-counting fork-inherited state or earlier tasks on the same
-    worker.  Failure events ride back with the result, so the parent stays
-    the only writer; a task lost to a crash or watchdog kill loses them too,
-    and the parent reconstructs them via
-    :func:`~repro.core.resilience.attribute_lost_task`.  ``bases`` maps spec
-    keys to already-consumed attempt counts (requeues after a crash).  Under
-    a pass-through policy the first mission exception propagates instead and
-    the parent re-raises it from the task's future.
+    ``detectors`` holds :data:`_PROCESS_DETECTORS` entries the parent
+    reconstructed, keyed the same way, so this process's specs find them
+    instead of training again: a ``fork`` worker inherits the mapping at no
+    cost, a ``spawn`` worker unpickles it once.  Everything else -- the
+    generated worlds and each group's golden-prefix cursor -- the worker
+    builds on first use, because rebuilding a cursor costs less than
+    pickling one.
+
+    Every spec goes through :func:`~repro.core.resilience.guarded_execute`,
+    and the worker reports as it goes: ``("start",)`` before each spec, one
+    ``("failure", record)`` per failed attempt, ``("done", status, result)``
+    after it, and ``("idle", delta)`` with the group's checkpoint-statistics
+    delta once the group is through.  So the parent always knows which spec
+    and attempt a lost worker was flying.  Under a pass-through policy the
+    first mission exception goes back as ``("error", exc)`` and the worker
+    exits.
     """
     from repro.core import checkpoint
 
-    before = checkpoint.checkpoint_stats().raw_dict()
-    entries: List[Tuple[int, str, Optional[MissionResult]]] = []
-    events: List[FailureRecord] = []
-    for pos, spec in task:
-        status, result, _ = guarded_execute(
-            spec,
-            None,
-            policy,
-            schedule,
-            bases.get(spec.key(), 0),
-            events.append,
-            in_worker=True,
-        )
-        entries.append((pos, status, result))
-    delta = checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)
-    return entries, events, delta
+    _PROCESS_DETECTORS.update(detectors)
+
+    def report(record: FailureRecord) -> None:
+        conn.send(("failure", record))
+
+    while True:
+        try:
+            specs, bases = conn.recv()
+        except EOFError:
+            return
+        before = checkpoint.checkpoint_stats().raw_dict()
+        for spec in specs:
+            conn.send(("start",))
+            try:
+                status, result, _ = guarded_execute(
+                    spec, None, policy, schedule, bases.get(spec.key(), 0), report,
+                    in_worker=True,
+                )
+            except Exception as exc:
+                # Only a pass-through policy lets one out of guarded_execute.
+                conn.send(("error", exc))
+                return
+            conn.send(("done", status, result))
+        conn.send(("idle", checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)))
 
 
-class _WatchdogTimeout(TimeoutError):
-    """A pool task overran the resilience policy's wall-clock budget."""
+class _PoolWorker:
+    """One pool process, its pipe, and what the parent knows of its progress."""
+
+    def __init__(self, ctx, payload: Tuple) -> None:
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(target=_pool_worker, args=(child, *payload), daemon=True)
+        self.process.start()
+        child.close()
+        #: Whether a group is assigned and its ``idle`` report not yet read.
+        self.busy = False
+        #: The group's unfinished pairs, the one in flight first.
+        self.rest: List[Tuple[int, RunSpec]] = []
+        self.bases: Dict[str, int] = {}
+        #: Attempts the spec in flight has used up; None between specs.
+        self.attempt: Optional[int] = None
+        #: Watchdog deadline of the spec in flight (monotonic seconds).
+        self.deadline: Optional[float] = None
+
+    def assign(self, task: GroupTask) -> None:
+        self.busy = True
+        self.rest, self.bases = task
+        # A worker that died idle fails this send; the parent's next pass
+        # over its pipe sees the death and requeues the task.
+        with contextlib.suppress(OSError):
+            self.conn.send(([spec for _, spec in self.rest], self.bases))
+
+    def stop(self) -> None:
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def _quarantine(
+    spec: RunSpec, struck: int, policy: ResiliencePolicy, emit: FailureCallback
+) -> None:
+    """Walk a hanging spec's strike ladder to quarantine, after ``struck`` strikes.
+
+    Used when a chaos hang is simulated rather than killed by the watchdog:
+    chaos hangs do not depend on the attempt, so every further strike is
+    certain.
+    """
+    for strike in range(struck + 1, policy.quarantine_strikes + 1):
+        final = strike == policy.quarantine_strikes
+        emit(hang_failure(spec, strike, OUTCOME_QUARANTINED if final else OUTCOME_RETRIED))
 
 
 def _run_in_process(
@@ -414,22 +472,17 @@ def _run_in_process(
     Shared by :class:`SerialExecutor`, the one-worker fallback and the pool's
     degraded tail.  A spec the chaos schedule marks as hanging is never
     flown: it walks the rest of its quarantine ladder at once, after the
-    strikes already in ``strikes`` -- the records the pool accumulates across
-    watchdog kills.  Surviving results land in ``results`` by position.
+    strikes already in ``strikes`` -- the ones the pool's watchdog dealt.
+    Surviving results land in ``results`` by position.
     """
     schedule = policy.chaos()
     if emit is None:
         emit = _drop_failure
     for pos, spec, base in work:
-        if schedule is not None and schedule.hangs(spec.key()):
-            for strike in range(strikes.get(spec.key(), 0) + 1, policy.quarantine_strikes + 1):
-                final = strike == policy.quarantine_strikes
-                emit(hang_failure(
-                    spec, strike, OUTCOME_QUARANTINED if final else OUTCOME_RETRIED
-                ))
-            continue
-        _, result, _ = guarded_execute(spec, detectors, policy, schedule, base, emit)
-        if result is not None:
+        status, result, _ = guarded_execute(spec, detectors, policy, schedule, base, emit)
+        if status == "hang":
+            _quarantine(spec, strikes.get(spec.key(), 0), policy, emit)
+        elif result is not None:
             results[pos] = result
             if on_result is not None:
                 on_result(spec, result)
@@ -437,19 +490,6 @@ def _run_in_process(
 
 def _drop_failure(record: FailureRecord) -> None:
     """Failure sink for callers that pass no ``on_failure``."""
-
-
-def _init_worker(detectors: Mapping[Tuple, object]) -> None:
-    """Pool initializer: adopt the detectors the parent reconstructed.
-
-    ``detectors`` holds :data:`_PROCESS_DETECTORS` entries, keyed the same
-    way, so the worker's specs find them instead of training again.  A
-    ``fork`` worker inherits the mapping at no cost; a ``spawn`` worker
-    receives it pickled, once.  Everything else a worker builds itself on
-    first use -- the generated worlds and each group's golden-prefix cursor
-    -- because rebuilding a cursor costs less than pickling one.
-    """
-    _PROCESS_DETECTORS.update(detectors)
 
 
 def cache_order_key(spec: RunSpec):
@@ -613,16 +653,18 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Fans whole prefix groups out over a process pool.
+    """Fans whole prefix groups out over a pool of worker processes.
 
     ``workers`` follows :func:`resolve_worker_count` semantics (``None`` reads
     ``MAVFI_WORKERS``).  The scheduling atom is a *prefix group* -- every spec
     sharing one :meth:`RunSpec.prefix_key` -- and each pool task carries
     exactly one, so a golden-prefix cursor is built exactly once per group.
-    Tasks are submitted in descending estimated-cost order (longest
-    processing time first), at most one per worker in flight, and each goes
-    to whichever worker frees up, so straggler rebalancing -- work-stealing
-    of whole groups -- falls out of the queue discipline.
+    Tasks go out in descending estimated-cost order (longest processing time
+    first), one per worker at a time, each to whichever worker frees up, so
+    straggler rebalancing -- work-stealing of whole groups -- falls out of
+    the queue discipline.  Every worker has its own pipe and reports each
+    spec's start, failed attempts and result as they happen, so a lost
+    worker costs only its in-flight spec's attempt.
 
     The effective worker count is clamped to ``os.cpu_count()`` unless
     ``oversubscribe`` (or ``MAVFI_OVERSUBSCRIBE=1``) lifts the clamp; when the
@@ -631,12 +673,13 @@ class ParallelExecutor:
 
     Every start method warms workers the same way.  The parent reconstructs
     the detectors the batch names -- training is the one warm-up that costs
-    seconds -- and hands them to the pool initializer, so ``fork`` workers
-    inherit them and ``spawn`` workers unpickle them once.  Each worker then
-    generates its own worlds and builds each group's golden-prefix cursor on
-    first use, which costs less than shipping a pickled cursor.  In-memory
-    detector mappings passed to :meth:`map` are deliberately **not** shipped
-    -- only detectors reconstructible from the campaign configuration are.
+    seconds -- and hands them to every worker process it starts, so ``fork``
+    workers inherit them and ``spawn`` workers unpickle them once.  Each
+    worker then generates its own worlds and builds each group's
+    golden-prefix cursor on first use, which costs less than shipping a
+    pickled cursor.  In-memory detector mappings passed to :meth:`map` are
+    deliberately **not** shipped -- only detectors reconstructible from the
+    campaign configuration are.
 
     After each :meth:`map`, ``last_effective_workers`` holds the worker count
     actually used and ``last_checkpoint_stats`` the fleet-wide aggregated
@@ -682,7 +725,7 @@ class ParallelExecutor:
 
     @staticmethod
     def _warm_detectors(specs: Sequence[RunSpec]) -> Dict[Tuple, object]:
-        """Reconstruct the detectors ``specs`` name; the initializer's argument.
+        """Reconstruct the detectors ``specs`` name; every worker receives them.
 
         Returns the :data:`_PROCESS_DETECTORS` entries those specs resolve
         to.  Empty, with nothing trained, when ``REPRO_NO_CACHE`` is set.
@@ -710,12 +753,13 @@ class ParallelExecutor:
         list is always in submission order, bit-identical to the serial path.
 
         Under the default pass-through ``policy`` the first mission exception
-        re-raises unchanged and a broken pool raises ``BrokenProcessPool``.
+        re-raises unchanged and a lost worker raises ``BrokenProcessPool``.
         Under a capturing one, mission exceptions become retried/persisted
         :class:`FailureRecord`\\ s instead of dead pools, a wall-clock
-        watchdog bounds each pool task, hanging specs are quarantined after
-        ``quarantine_strikes``, and a broken pool is rebuilt up to
-        ``max_pool_respawns`` times (only unfinished work is requeued) before
+        watchdog bounds each spec a worker flies, hanging specs are
+        quarantined after ``quarantine_strikes``, and a lost worker (crashed
+        or killed by the watchdog) is replaced, up to ``max_pool_respawns``
+        times, with only its unfinished specs requeued, before the rest of
         the batch degrades to in-process serial execution.  Failed or
         quarantined specs yield ``None`` entries.
         """
@@ -768,22 +812,6 @@ class ParallelExecutor:
         self.last_checkpoint_stats = stats
         return results
 
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate a broken/overrunning pool without waiting on it.
-
-        ``shutdown(cancel_futures=True)`` alone never kills *running* workers
-        -- a hung task would wedge the shutdown forever -- so the worker
-        processes are terminated directly first.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except OSError:
-                continue
-        pool.shutdown(wait=False, cancel_futures=True)
-
     def _pool_map(
         self,
         specs: Sequence[RunSpec],
@@ -797,188 +825,148 @@ class ParallelExecutor:
     ) -> None:
         """The pool loop, with the capture/retry/quarantine/degrade ladder.
 
-        Fills ``results`` and merges each harvested task's stats delta into
-        ``stats``.  Submission is windowed (at most ``workers`` futures in
-        flight) so the per-task wall-clock watchdog measures *running* tasks,
-        not queue time.  Under a pass-through policy any failure stops the
-        pool and re-raises.  Under a capturing one, on ``BrokenProcessPool``
-        or a watchdog overrun the pool is killed and rebuilt, lost in-flight
-        work is reconstructed via
-        :func:`~repro.core.resilience.attribute_lost_task` (chaos faults) or
-        the singleton-suspect heuristic (genuine timeouts), and only
-        unfinished specs are requeued -- as singleton tasks, so the next
-        overrun isolates its culprit.  After ``max_pool_respawns`` rebuilds
-        the remaining work degrades to the in-process loop (chaos faults are
-        then simulated cooperatively, so degradation always terminates; a
-        *genuine* hang in degraded mode would stall the parent -- raise
-        ``REPRO_POOL_RESPAWNS`` if that is a live risk).  Checkpoint
-        statistics are best-effort under resilience: deltas of lost tasks
-        die with their pool and are not re-counted on requeue.
+        ``workers`` processes fly one prefix group at a time, costliest
+        first, and stream per-spec progress (:func:`_pool_worker`); results
+        land in ``results`` and each group's stats delta merges into
+        ``stats``.  A worker that dies crashed on its in-flight spec's next
+        attempt.  One whose spec outlives ``policy.task_timeout``, armed per
+        spec, is killed, and the spec earns a hang strike.  Either way the
+        parent writes that record itself, requeues the rest of the group as
+        one task and replaces only that worker; the others keep flying.
+        Once ``max_pool_respawns`` replacements are used up, the surviving
+        workers finish their groups and the remaining work flies in the
+        in-process loop (chaos faults are simulated there, so a chaos-ridden
+        campaign always ends; a *genuine* hang in that tail would stall the
+        parent).  Under a pass-through policy a worker's exception
+        re-raises, and a lost worker raises ``BrokenProcessPool``.
+        Checkpoint statistics are best-effort: a lost worker's delta dies
+        with it.
         """
         import time  # harness watchdog only; sim time stays on the middleware clock
 
         ctx = multiprocessing.get_context(self.start_method)
-        detectors = self._warm_detectors(specs)
-        schedule = policy.chaos()
-        attempts: Dict[str, int] = {}
+        payload = (self._warm_detectors(specs), policy, policy.chaos())
+        emit = on_failure or _drop_failure
+        pending: Deque[GroupTask] = deque((list(group), {}) for group in groups)
         strikes: Dict[str, int] = {}
-        quarantined: Set[str] = set()
-        emitted: Set[Tuple[str, int, str, str]] = set()
+        pool: List[_PoolWorker] = []
+        started, budget = 0, workers + policy.max_pool_respawns
 
-        def emit(record: FailureRecord) -> None:
-            # Requeued work can re-derive an event a prior incarnation already
-            # produced; the identity dedup keeps the shard single-voiced.
-            identity = record.identity()
-            if identity in emitted:
-                return
-            emitted.add(identity)
-            if on_failure is not None:
-                on_failure(record)
-
-        def hang_strike(spec: RunSpec) -> bool:
-            """Record one hang strike; True when the spec is now quarantined."""
-            key = spec.key()
-            if key in quarantined:
-                return True
-            strikes[key] = strikes.get(key, 0) + 1
-            final = strikes[key] >= policy.quarantine_strikes
-            emit(hang_failure(
-                spec, strikes[key],
-                OUTCOME_QUARANTINED if final else OUTCOME_RETRIED,
-            ))
-            if final:
-                quarantined.add(key)
-            return final
-
-        def requeue(pos: int, spec: RunSpec, base: int) -> None:
-            attempts[spec.key()] = base
-            pending.append(([(pos, spec)], {spec.key(): base}))
-
-        def live(task: GroupTask) -> List[Tuple[int, RunSpec]]:
-            return [(pos, spec) for pos, spec in task if spec.key() not in quarantined]
-
-        def harvest(value: Tuple) -> None:
-            entries, events, delta = value
-            stats.merge(delta)
-            for record in events:
-                emit(record)
-            for pos, status, result in entries:
-                if status == "ok" and result is not None:
+        def receive(worker: _PoolWorker, message: Tuple) -> None:
+            kind = message[0]
+            if kind == "start":
+                worker.attempt = worker.bases.get(worker.rest[0][1].key(), 0)
+                if policy.task_timeout is not None:
+                    # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
+                    worker.deadline = time.monotonic() + policy.task_timeout
+            elif kind == "failure":
+                emit(message[1])
+                worker.attempt = message[1].attempt
+            elif kind == "done":
+                pos, spec = worker.rest.pop(0)
+                worker.attempt = worker.deadline = None
+                status, result = message[1:]
+                if status == "hang":
+                    _quarantine(spec, strikes.get(spec.key(), 0), policy, emit)
+                elif result is not None:
                     results[pos] = result
                     if on_result is not None:
-                        on_result(specs[pos], result)
-                elif status == "hang":
-                    # Cooperative hang report (no watchdog configured, or the
-                    # sleep outlived it); same ladder as a watchdog kill.
-                    spec = specs[pos]
-                    if not hang_strike(spec):
-                        requeue(pos, spec, attempts.get(spec.key(), 0))
-                # "failed": every attempt's record already rode in events.
+                        on_result(spec, result)
+            elif kind == "idle":
+                stats.merge(message[1])
+                worker.busy = False
+            else:
+                raise message[1]  # "error": the worker's pass-through exception
 
-        pending: Deque[Tuple[GroupTask, Dict[str, int]]] = deque(
-            (pairs, {}) for pairs in groups
-        )
-        respawns = 0
-        while pending and respawns <= policy.max_pool_respawns:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(detectors,),
-            )
-            in_flight: Dict = {}
-            try:
-                while pending or in_flight:
-                    while pending and len(in_flight) < workers:
-                        task, bases = pending.popleft()
-                        task = live(task)
-                        if not task:
-                            continue
-                        future = pool.submit(
-                            _execute_group_task, task, policy, schedule, bases
-                        )
-                        deadline = None
-                        if policy.task_timeout is not None:
-                            # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                            deadline = time.monotonic() + policy.task_timeout
-                        in_flight[future] = (task, bases, deadline)
-                    if not in_flight:
+        def lose(worker: _PoolWorker, hung: bool) -> None:
+            """Retire a dead or overrunning worker and requeue what it left."""
+            worker.stop()
+            pool.remove(worker)
+            if not policy.capture:
+                raise BrokenProcessPool(
+                    "a pool worker " + ("overran its watchdog" if hung else "died")
+                )
+            rest, bases = worker.rest, dict(worker.bases)
+            if worker.attempt is not None:
+                _, spec = rest[0]
+                key = spec.key()
+                if hung:
+                    strikes[key] = strikes.get(key, 0) + 1
+                    final = strikes[key] >= policy.quarantine_strikes
+                    emit(hang_failure(
+                        spec, strikes[key], OUTCOME_QUARANTINED if final else OUTCOME_RETRIED
+                    ))
+                    bases[key] = worker.attempt
+                else:
+                    bases[key] = worker.attempt + 1
+                    final = bases[key] >= policy.max_attempts
+                    emit(crash_failure(
+                        spec, bases[key], OUTCOME_FAILED if final else OUTCOME_RETRIED
+                    ))
+                if final:
+                    rest = rest[1:]
+            if rest:
+                pending.appendleft((rest, bases))
+
+        def service(worker: _PoolWorker) -> None:
+            """Handle what ``worker`` sent; a broken pipe or exited process is a loss."""
+            while True:
+                try:
+                    if not worker.conn.poll():
                         break
-                    deadlines = [d for (_, _, d) in in_flight.values() if d is not None]
-                    timeout = None
-                    if deadlines:
-                        # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                        timeout = max(0.0, min(deadlines) - time.monotonic())
-                    done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        # Harvest before dropping the bookkeeping: .result()
-                        # raises BrokenProcessPool when a worker died, and the
-                        # task must still be in in_flight for the attribution
-                        # pass below to see (and requeue) it.
-                        harvest(future.result())
-                        in_flight.pop(future)
-                    if not done and deadlines:
-                        # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                        now = time.monotonic()
-                        if any(d is not None and now >= d for (_, _, d) in in_flight.values()):
-                            raise _WatchdogTimeout()
-            except (BrokenProcessPool, _WatchdogTimeout) as failure:
-                self._kill_pool(pool)
-                if not policy.capture:
-                    raise
-                respawns += 1
-                timed_out = isinstance(failure, _WatchdogTimeout)
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    # EOF, or a reset when the worker died with a task unread.
+                    lose(worker, hung=False)
+                    return
+                receive(worker, message)
+            if not worker.process.is_alive():
+                lose(worker, hung=False)
+
+        try:
+            while True:
+                # Start the workers, then replace lost ones while there is
+                # work and the budget can restore full strength.  A
+                # short-handed pool dispatches nothing more: its remaining
+                # work is the in-process tail's.
+                missing = workers - len(pool)
+                if pending and missing and started + missing <= budget:
+                    pool.extend(_PoolWorker(ctx, payload) for _ in range(missing))
+                    started += missing
+                if len(pool) == workers:
+                    for worker in pool:
+                        if not worker.busy and pending:
+                            worker.assign(pending.popleft())
+                busy = [worker for worker in pool if worker.busy]
+                if not busy:
+                    break
+                deadlines = [w.deadline for w in busy if w.deadline is not None]
+                timeout = None
+                if deadlines:
+                    # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
+                    timeout = max(0.0, min(deadlines) - time.monotonic())
+                wait([obj for w in busy for obj in (w.conn, w.process.sentinel)], timeout)
+                for worker in busy:
+                    service(worker)
                 # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
                 now = time.monotonic()
-                for future, (task, bases, deadline) in list(in_flight.items()):
-                    if future.done() and future.exception() is None:
-                        # Completed between the failure and the kill; its
-                        # results are real -- harvest, don't re-run.
-                        harvest(future.result())
-                        continue
-                    dispositions = attribute_lost_task(
-                        task, policy, schedule, attempts, emit,
-                        crashed=not timed_out,
-                    )
-                    expired = timed_out and deadline is not None and now >= deadline
-                    culprit = any(kind != "requeue" for kind, _, _, _ in dispositions)
-                    for kind, pos, spec, base in dispositions:
-                        key = spec.key()
-                        if kind == "hang":
-                            if not hang_strike(spec):
-                                requeue(pos, spec, attempts.get(key, 0))
-                        elif kind == "exhausted":
-                            attempts[key] = base
-                        elif kind == "crash-requeue":
-                            requeue(pos, spec, base)
-                        else:  # innocent requeue
-                            if expired and not culprit and len(dispositions) == 1:
-                                # Singleton suspect: this task alone overran
-                                # the watchdog and chaos explains nothing --
-                                # treat it as a genuine hang strike.
-                                if hang_strike(spec):
-                                    continue
-                            requeue(pos, spec, base)
-                in_flight.clear()
-            except BaseException:
-                # A pass-through mission exception, a raising callback or an
-                # interrupt: stop the workers, then propagate unchanged.
-                self._kill_pool(pool)
-                raise
-            else:
-                pool.shutdown()
-        if pending:
-            # Graceful degradation: finish the remaining work in-process.
-            # Chaos crashes/hangs are simulated cooperatively here, so a
-            # chaos-ridden campaign always converges.
-            _run_in_process(
-                (
-                    (pos, spec, attempts.get(spec.key(), bases.get(spec.key(), 0)))
-                    for task, bases in pending
-                    for pos, spec in live(task)
-                ),
-                results, None, policy, on_result, emit, strikes,
-            )
+                for worker in busy:
+                    if worker in pool and worker.deadline is not None and now >= worker.deadline:
+                        lose(worker, hung=True)
+        finally:
+            # Normal or not (a pass-through failure, a raising callback, an
+            # interrupt), no worker outlives the map.
+            for worker in pool:
+                worker.stop()
+        # Graceful degradation: finish the remaining work in-process.
+        _run_in_process(
+            (
+                (pos, spec, bases.get(spec.key(), 0))
+                for rest, bases in pending
+                for pos, spec in rest
+            ),
+            results, None, policy, on_result, emit, strikes,
+        )
 
 
 def get_executor(workers: Optional[int] = None):

@@ -290,9 +290,10 @@ TASK_TIMEOUT = _register(Knob(
     name="REPRO_TASK_TIMEOUT",
     kind="float",
     description=(
-        "Wall-clock watchdog, in seconds, applied per pool task by the "
-        "parallel executor; an overrunning task's worker is killed and the "
-        "task's specs are retried or quarantined."
+        "Wall-clock watchdog, in seconds, applied per spec by the parallel "
+        "executor's workers; a worker whose spec overruns it is killed, and "
+        "the spec earns a hang strike (retried, or quarantined after "
+        "REPRO_QUARANTINE_STRIKES)."
     ),
     default="watchdog off",
     parse=_parse_timeout_seconds,
@@ -302,8 +303,9 @@ QUARANTINE_STRIKES = _register(Knob(
     name="REPRO_QUARANTINE_STRIKES",
     kind="int",
     description=(
-        "Hang/crash strikes a single spec may accumulate before the "
-        "resilience policy quarantines it for the rest of the campaign."
+        "Hang strikes (watchdog kills or chaos hangs) a single spec may "
+        "accumulate before the resilience policy quarantines it for the rest "
+        "of the campaign; a crash uses up an attempt instead."
     ),
     default="2",
     parse=_parse_positive_int,
@@ -313,9 +315,9 @@ POOL_RESPAWNS = _register(Knob(
     name="REPRO_POOL_RESPAWNS",
     kind="int",
     description=(
-        "Process-pool rebuilds the parallel executor attempts after "
-        "BrokenProcessPool/timeout before degrading to the serial path "
-        "(0 = degrade on the first pool loss)."
+        "Lost pool workers (crashed or killed by the watchdog) the parallel "
+        "executor replaces before the rest of the batch degrades to "
+        "in-process execution (0 = degrade on the first loss)."
     ),
     default="2",
     parse=_parse_nonneg_int,

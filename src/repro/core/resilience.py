@@ -10,10 +10,10 @@ assumed existed:
   that did not produce a result (exception, worker crash, hang), carrying the
   spec key, error identity, attempt number and final outcome so the report
   engine can account for every spec the campaign touched.
-* :class:`ResiliencePolicy` -- bounded deterministic retry, a per-task
-  wall-clock watchdog, quarantine after N hang strikes and a bounded
-  pool-respawn budget before the pool degrades to the in-process loop; its
-  :data:`PASS_THROUGH` value captures nothing and re-raises.
+* :class:`ResiliencePolicy` -- bounded deterministic retry, a per-spec
+  wall-clock watchdog, quarantine after N hang strikes and a bounded budget
+  of pool-worker replacements before the pool degrades to the in-process
+  loop; its :data:`PASS_THROUGH` value captures nothing and re-raises.
 * :class:`ChaosSchedule` -- a seeded fault schedule that injects worker
   crashes, mission exceptions, hangs and torn/garbage shard writes into the
   harness itself.  Every chaos decision is a pure function of (schedule seed,
@@ -32,16 +32,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -71,16 +62,6 @@ CHAOS_CRASH_EXIT_CODE = 17
 
 class ChaosMissionError(RuntimeError):
     """Chaos-injected mission exception (``REPRO_CHAOS`` ``raise`` kind)."""
-
-
-def _raise_chaos(attempt: int) -> None:
-    """Single raise site for chaos mission exceptions.
-
-    Both the live execution path and the parent's lost-task replay raise
-    through this helper, so the captured innermost traceback frame -- part of
-    the failure digest -- is identical wherever the record is produced.
-    """
-    raise ChaosMissionError(f"chaos: injected mission exception (attempt {attempt})")
 
 
 # ------------------------------------------------------------ failure records
@@ -117,7 +98,7 @@ class FailureRecord:
     outcome: str
 
     def identity(self) -> Tuple[str, int, str, str]:
-        """Dedup identity: one attempt of one spec fails at most once."""
+        """Identity of one failure: one attempt of one spec fails at most once."""
         return (self.spec_key, self.attempt, self.error_type, self.traceback_digest)
 
     def to_dict(self) -> Dict:
@@ -221,12 +202,15 @@ class ResiliencePolicy:
     """Bounded-retry / watchdog / quarantine / degradation configuration.
 
     Picklable plain data so the parallel executor can ship it to workers.
-    ``task_timeout`` of ``None`` disables the wall-clock watchdog (hangs are
-    then only caught when chaos simulates them cooperatively).
+    ``task_timeout`` bounds each spec's wall-clock time in a pool worker;
+    ``None`` disables the watchdog (hangs are then only caught when chaos
+    simulates them cooperatively).  ``max_pool_respawns`` counts the lost
+    pool workers replaced before the rest of the batch degrades to the
+    in-process loop.
 
     ``capture=False`` turns the policy into a pass-through: the first
-    mission exception, broken pool or watchdog overrun re-raises to the
-    caller, no failure record is emitted and no chaos is drawn.  The default
+    mission exception or lost pool worker re-raises to the caller, no
+    failure record is emitted and no chaos is drawn.  The default
     policy of every dispatch entry point is :data:`PASS_THROUGH`.
     """
 
@@ -361,7 +345,7 @@ def _hang_in_worker(policy: ResiliencePolicy) -> None:
     """Cooperatively simulate a hang inside a worker process.
 
     With a watchdog configured the sleep overshoots it by 4x, so the parent
-    observes a real timeout and kills the pool mid-sleep.  Without one the
+    observes a real timeout and kills the worker mid-sleep.  Without one the
     sleep returns and the worker reports the hang cooperatively -- the
     quarantine ladder works either way.
     """
@@ -387,15 +371,18 @@ def guarded_execute(
     Status is ``"ok"`` (result attached), ``"failed"`` (attempts exhausted;
     every attempt emitted a :class:`FailureRecord`) or ``"hang"`` (the chaos
     schedule marks the spec as hanging; strike accounting is the *caller's*
-    job, because strikes accumulate across pool respawns).  ``base_attempt``
+    job, because strikes accumulate across watchdog kills).  ``base_attempt``
     is how many attempts previous incarnations (e.g. before a worker crash)
     already consumed; numbering continues from there so the serial and
     parallel executors emit identical attempt sequences.
 
-    In a worker (``in_worker=True``) a chaos crash is a real ``os._exit`` --
-    the parent reconstructs the record via :func:`attribute_lost_task` -- and
-    a chaos hang really sleeps into the watchdog.  In the parent, both are
-    simulated cooperatively with identical records.
+    In a worker (``in_worker=True``) a chaos crash is a real ``os._exit`` and
+    a chaos hang really sleeps into the watchdog; the pool's parent, which
+    has seen the attempt start and every earlier record, writes the crash or
+    hang record itself.  In the parent, both are simulated cooperatively
+    with identical records.  This is the only place a chaos mission
+    exception is raised, so its record's traceback digest names this
+    function wherever the attempt ran.
 
     Under a pass-through policy (``capture=False``) the first exception
     re-raises unchanged once the spec's cursor is discarded.
@@ -419,7 +406,7 @@ def guarded_execute(
             continue
         try:
             if schedule is not None and schedule.mission_raises(key, attempt):
-                _raise_chaos(attempt)
+                raise ChaosMissionError(f"chaos: injected mission exception (attempt {attempt})")
             result = execute_spec(spec, detectors)
             return ("ok", result, attempt)
         except Exception as exc:
@@ -432,91 +419,3 @@ def guarded_execute(
                 raise
             emit(failure_from_exception(spec, exc, attempt, outcome))
     return ("failed", None, attempt)
-
-
-# ------------------------------------------------- lost-pool-task attribution
-def attribute_lost_task(
-    ordered_pairs: Sequence[Tuple[int, object]],
-    policy: ResiliencePolicy,
-    schedule: Optional[ChaosSchedule],
-    attempts: Mapping[str, int],
-    emit: FailureCallback,
-    crashed: bool = True,
-) -> List[Tuple[str, int, object, int]]:
-    """Reconstruct what a lost pool task was doing when its pool died.
-
-    A broken/timed-out pool loses every in-flight task wholesale -- results,
-    failure events and all.  Because chaos decisions are pure functions of
-    (seed, key, attempt), the parent can replay the schedule over the task's
-    ``(position, spec)`` pairs *in execution order* and recover exactly which
-    spec hung or crashed, which raise attempts preceded the crash (their
-    records are re-emitted here, since the requeue resumes past them), and
-    which specs were innocent bystanders to requeue untouched.
-
-    Returns ``(kind, position, spec, base_attempt)`` dispositions in task
-    order, with ``kind`` one of ``"hang"`` (caller strikes/quarantines),
-    ``"crash-requeue"`` (the crash culprit; re-run from past the crash
-    attempt), ``"requeue"`` (innocent; re-run from ``base_attempt``, the
-    replay regenerates its lost records/result bit-for-bit) or
-    ``"exhausted"`` (final attempt crashed; records emitted, no result
-    possible).  Without chaos every spec is simply requeued -- genuine
-    timeout suspicion is the caller's singleton-task heuristic.
-
-    ``crashed=False`` marks a loss by *watchdog timeout* rather than a dead
-    pool: the task may simply have been slow, so only hang attribution is
-    trusted.  Crash/raise replay is skipped -- the task had not necessarily
-    reached those attempts, and if a chaos crash really is scheduled the
-    requeued task will hit it and break the pool, at which point the replay
-    emits the identical records (the dedup makes this idempotent).
-    """
-    dispositions: List[Tuple[str, int, object, int]] = []
-    culprit_found = False
-    for pos, spec in ordered_pairs:
-        key = spec.key()
-        base = int(attempts.get(key, 0))
-        if culprit_found or schedule is None:
-            dispositions.append(("requeue", pos, spec, base))
-            continue
-        if schedule.hangs(key):
-            # The worker slept into the watchdog here; nothing after it ran.
-            dispositions.append(("hang", pos, spec, base))
-            culprit_found = True
-            continue
-        if not crashed:
-            dispositions.append(("requeue", pos, spec, base))
-            continue
-        crash_attempt = None
-        raise_attempts: List[int] = []
-        attempt = base
-        while attempt < policy.max_attempts:
-            attempt += 1
-            if schedule.crashes(key, attempt):
-                crash_attempt = attempt
-                break
-            if schedule.mission_raises(key, attempt):
-                raise_attempts.append(attempt)
-                continue
-            break  # this attempt would have completed; spec is innocent
-        if crash_attempt is None:
-            # Completed (or exhausted its attempts) without killing the
-            # worker; requeue from the original base so the re-run replays
-            # the identical attempt sequence and regenerates the lost
-            # records/result bit-for-bit.
-            dispositions.append(("requeue", pos, spec, base))
-            continue
-        for raise_attempt in raise_attempts:
-            # Re-raise through the shared raise site so the replayed record
-            # (the worker's copy died with the pool) is byte-identical to
-            # the one the worker would have returned.
-            try:
-                _raise_chaos(raise_attempt)
-            except ChaosMissionError as exc:
-                emit(failure_from_exception(spec, exc, raise_attempt, OUTCOME_RETRIED))
-        last = crash_attempt >= policy.max_attempts
-        emit(crash_failure(spec, crash_attempt, OUTCOME_FAILED if last else OUTCOME_RETRIED))
-        if last:
-            dispositions.append(("exhausted", pos, spec, crash_attempt))
-        else:
-            dispositions.append(("crash-requeue", pos, spec, crash_attempt))
-        culprit_found = True
-    return dispositions

@@ -1,8 +1,8 @@
 """RL012: process-boundary pickle safety.
 
-``RunSpec`` instances, the chaos/resilience schedules and the worker-pool
-initializer payload all cross the ``ProcessPoolExecutor`` fork/spawn
-boundary.  A lambda, generator, nested function or ``threading.Lock`` that
+``RunSpec`` instances, the chaos/resilience schedules and the pool
+workers' start-up payload all cross the fork/spawn process boundary.  A
+lambda, generator, nested function or ``threading.Lock`` that
 sneaks into one of those surfaces pickles fine nowhere -- and under the
 ``fork`` start method the failure is deferred until the first ``spawn``
 platform (macOS CI) runs the campaign.  The checker statically flags
@@ -11,9 +11,11 @@ unpicklable value expressions reaching:
 * ``RunSpec(...)`` / ``CampaignConfig(...)`` / ``ChaosSchedule(...)`` /
   ``ResiliencePolicy(...)`` constructor arguments (including
   ``dataclasses.replace(spec, ...)``),
-* ``ProcessPoolExecutor(initializer=..., initargs=...)`` -- the initializer
-  must be a module-level callable,
-* ``pool.submit(fn, ...)`` first arguments.
+* ``Process(target=..., args=(...))`` (``multiprocessing.Process`` or a
+  context's ``ctx.Process``) and ``ProcessPoolExecutor(initializer=...,
+  initargs=...)`` -- the target or initializer must be a module-level
+  callable, and every element of its arguments must pickle,
+* ``pool.submit(fn, ...)`` arguments.
 
 Class names resolve through each module's import table, so an aliased
 ``from repro.core.executor import RunSpec as Spec`` is still caught.
@@ -38,6 +40,14 @@ BOUNDARY_CLASSES = {
 
 #: Bare class names accepted when the module defines the class itself.
 BOUNDARY_CLASS_NAMES = set(BOUNDARY_CLASSES.values())
+
+#: Constructors that start worker processes, by the last part of their name
+#: (``ctx.Process`` and ``multiprocessing.Process`` alike): the keyword
+#: naming the callable each worker runs, and the keyword of its arguments.
+WORKER_ENTRIES = {
+    "ProcessPoolExecutor": ("initializer", "initargs"),
+    "Process": ("target", "args"),
+}
 
 _LOCK_FACTORIES = {
     "threading.Lock",
@@ -77,7 +87,8 @@ class PickleBoundary(ProjectChecker):
     name = "pickle-boundary"
     description = (
         "lambda/generator/nested-function/lock value reaching a RunSpec "
-        "field, a pool initializer, or a chaos/resilience schedule"
+        "field, a process target or pool initializer, or a chaos/resilience "
+        "schedule"
     )
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -141,31 +152,29 @@ class PickleBoundary(ProjectChecker):
         nested_defs: Dict[str, int],
     ) -> Iterator[Finding]:
         raw = dotted_name(call.func)
-        canonical = info.imports.canonical(raw) if raw else None
-        is_pool = canonical is not None and canonical.endswith("ProcessPoolExecutor")
-        if is_pool:
+        owner = info.imports.canonical(raw).rsplit(".", 1)[-1] if raw else None
+        if owner in WORKER_ENTRIES:
+            callable_kw, args_kw = WORKER_ENTRIES[owner]
             for kw in call.keywords:
-                if kw.arg == "initializer":
+                if kw.arg == callable_kw:
                     reason = _unpicklable_reason(kw.value, info, nested_defs)
                     if reason is not None:
                         yield self.finding(
                             info,
                             kw.value.lineno,
-                            f"{reason} used as a ProcessPoolExecutor "
-                            f"initializer; workers receive it by pickling -- "
-                            f"use a module-level function",
+                            f"{reason} used as a {owner} {callable_kw}; "
+                            f"workers receive it by pickling -- use a "
+                            f"module-level function",
                         )
-                elif kw.arg == "initargs" and isinstance(
-                    kw.value, (ast.Tuple, ast.List)
-                ):
+                elif kw.arg == args_kw and isinstance(kw.value, (ast.Tuple, ast.List)):
                     for element in kw.value.elts:
                         reason = _unpicklable_reason(element, info, nested_defs)
                         if reason is not None:
                             yield self.finding(
                                 info,
                                 element.lineno,
-                                f"{reason} in ProcessPoolExecutor initargs; "
-                                f"the payload is pickled into every worker",
+                                f"{reason} in {owner} {args_kw}; the payload "
+                                f"is pickled into every worker",
                             )
             return
         # <pool>.submit(fn, ...): the callable and every argument pickle.

@@ -57,6 +57,16 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
+def _reject_nan(*points: np.ndarray) -> None:
+    """Raise ``ValueError`` on a NaN coordinate, as a kd-tree query would.
+
+    The bounds test passes NaN (every comparison with it is false), so the
+    empty-map checks, which make no query, call this instead.
+    """
+    if any(np.isnan(p).any() for p in points):
+        raise ValueError("NaN coordinate in a planning query point")
+
+
 def _sample_count(length: float, step: float) -> int:
     """Samples on a segment of ``length``: at most ``step`` apart, both ends included."""
     return max(2, math.ceil(length / step) + 1)
@@ -143,6 +153,7 @@ class PlanningProblem:
         if self._out_of_bounds(p):
             return False
         if self._tree is None:
+            _reject_nan(p)
             return True
         if _norm(p - self.start) < self.start_escape_radius:
             return True
@@ -188,6 +199,7 @@ class PlanningProblem:
         if radius_b > self._cert_clearance and self._certifiable(b):
             return True, radius_b
         if self._tree is None:
+            _reject_nan(b)
             if self._out_of_bounds(b) or not self.edge_valid(a, b):
                 return False, -math.inf
             return True, math.inf if self._certifiable(b) else -math.inf
@@ -212,6 +224,8 @@ class PlanningProblem:
         ``a`` and ``b`` are ``(E, 3)`` arrays, or one of them a single point
         shared by every edge.  Returns ``E`` booleans.
         """
+        if self._tree is None:
+            _reject_nan(a, b)
         delta = np.asarray(b, dtype=float) - a
         lengths = np.sqrt(np.matmul(delta[:, None, :], delta[:, :, None]).ravel())
         counts = np.maximum(np.ceil(lengths / EDGE_STEP).astype(np.intp) + 1, 2)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -465,6 +467,123 @@ class TestChaosConvergence:
         assert set(JsonlResultStore(store.path).completed_keys()) == {
             spec.key() for spec in specs
         }
+
+
+# --------------------------------------------------------------- lost workers
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stand-in reaches workers only by fork inheritance",
+)
+class TestLostWorkers:
+    """A worker that dies or hangs costs its in-flight spec, and nothing else."""
+
+    @staticmethod
+    def _victim_batch(monkeypatch, tmp_path, misbehave):
+        """Five specs in two prefix groups; the victim is a group's last spec.
+
+        Every flight is logged per process under ``tmp_path``.  The victim
+        calls ``misbehave`` in a worker and raises in the parent.
+        """
+        campaign = _fast_campaign(num_golden=2, num_injections_per_stage=1)
+        specs = _specs(campaign)
+        group = max(executor_module.prefix_groups(list(enumerate(specs))), key=len)
+        victim_pos, victim = group[-1]  # cache order flies golden specs last
+        assert len(group) > 1 and victim.fault_plan is None
+        parent = os.getpid()
+        real = executor_module.execute_spec
+
+        def logged(spec, detectors=None):
+            with open(tmp_path / f"flights-{os.getpid()}.log", "a") as log:
+                log.write(spec.key() + "\n")
+            if spec.key() == victim.key():
+                if os.getpid() == parent:
+                    raise AssertionError("the victim must never fly in the parent")
+                misbehave()
+            return real(spec, detectors)
+
+        monkeypatch.setattr(executor_module, "execute_spec", logged)
+        return specs, victim_pos, victim
+
+    @staticmethod
+    def _flights(tmp_path):
+        """(flights per spec key over every process, keys flown by this one)."""
+        flights = Counter()
+        for path in tmp_path.glob("flights-*.log"):
+            flights.update(path.read_text().split())
+        own = tmp_path / f"flights-{os.getpid()}.log"
+        return flights, own.read_text().split() if own.exists() else []
+
+    def test_crash_costs_only_the_crashing_attempts(self, monkeypatch, tmp_path):
+        specs, victim_pos, victim = self._victim_batch(
+            monkeypatch, tmp_path, lambda: os._exit(3)
+        )
+        failures = []
+        results = ParallelExecutor(workers=2, oversubscribe=True).map(
+            specs,
+            policy=ResiliencePolicy(max_attempts=3, max_pool_respawns=3),
+            on_failure=failures.append,
+        )
+        assert [(f.spec_key, f.error_type, f.attempt, f.outcome) for f in failures] == [
+            (victim.key(), "WorkerCrash", 1, OUTCOME_RETRIED),
+            (victim.key(), "WorkerCrash", 2, OUTCOME_RETRIED),
+            (victim.key(), "WorkerCrash", 3, OUTCOME_FAILED),
+        ]
+        assert [pos for pos, result in enumerate(results) if result is None] == [victim_pos]
+        flights, in_parent = self._flights(tmp_path)
+        assert victim.key() not in in_parent
+        assert flights == {**{spec.key(): 1 for spec in specs}, victim.key(): 3}
+
+    def test_hang_strikes_only_the_hanging_spec(self, monkeypatch, tmp_path):
+        specs, victim_pos, victim = self._victim_batch(
+            monkeypatch, tmp_path, lambda: time.sleep(60.0)
+        )
+        failures = []
+        results = ParallelExecutor(workers=2, oversubscribe=True).map(
+            specs,
+            policy=ResiliencePolicy(task_timeout=5.0, quarantine_strikes=2),
+            on_failure=failures.append,
+        )
+        assert [(f.spec_key, f.error_type, f.attempt, f.outcome) for f in failures] == [
+            (victim.key(), "HangTimeout", 1, OUTCOME_RETRIED),
+            (victim.key(), "HangTimeout", 2, OUTCOME_QUARANTINED),
+        ]
+        assert [pos for pos, result in enumerate(results) if result is None] == [victim_pos]
+        flights, in_parent = self._flights(tmp_path)
+        assert victim.key() not in in_parent
+        assert flights == {**{spec.key(): 1 for spec in specs}, victim.key(): 2}
+
+    def test_worker_lost_between_groups_costs_nothing(self, monkeypatch):
+        real_worker = executor_module._pool_worker
+
+        class OneGroup:
+            """The worker's pipe, ending the process when its second task comes."""
+
+            def __init__(self, conn):
+                self.conn, self.tasks = conn, 0
+
+            def recv(self):
+                self.tasks += 1
+                if self.tasks > 1:
+                    os._exit(0)  # the parent has sent (or will send) a task
+                return self.conn.recv()
+
+            def send(self, message):
+                self.conn.send(message)
+
+        def one_group_worker(conn, *payload):
+            real_worker(OneGroup(conn), *payload)
+
+        monkeypatch.setattr(executor_module, "_pool_worker", one_group_worker)
+        specs = _specs(_fast_campaign(num_golden=4, num_injections_per_stage=1))
+        assert len(executor_module.prefix_groups(list(enumerate(specs)))) == 4
+        failures = []
+        results = ParallelExecutor(workers=2, oversubscribe=True).map(
+            specs, policy=ResiliencePolicy(max_pool_respawns=2), on_failure=failures.append
+        )
+        assert failures == []
+        assert [mission_result_to_dict(result) for result in results] == [
+            mission_result_to_dict(execute_spec(spec)) for spec in specs
+        ]
 
 
 # ------------------------------------------------------- executor telemetry

@@ -675,6 +675,58 @@ class TestPickleBoundary:
         assert "ProcessPoolExecutor initargs" in messages[0]
         assert "initializer" in messages[1]
 
+    def test_process_target_and_args(self, tmp_path):
+        result = self.lint_one(
+            tmp_path,
+            """\
+            import multiprocessing
+
+
+            def work(flag):
+                return flag
+
+
+            def bad_target():
+                return multiprocessing.Process(target=lambda: None)
+
+
+            def bad_nested_target(ctx):
+                def inner():
+                    return 1
+                return ctx.Process(target=inner, args=(1,))
+
+
+            def bad_args(ctx):
+                return ctx.Process(target=work, args=(1, lambda: 2))
+            """,
+        )
+        messages = sorted(f.message for f in result.findings)
+        assert len(messages) == 3
+        assert "a lambda in Process args" in messages[0]
+        assert "a lambda used as a Process target" in messages[1]
+        assert "nested function 'inner'" in messages[2]
+        assert "Process target" in messages[2]
+
+    def test_module_level_process_target_is_picklable(self, tmp_path):
+        result = self.lint_one(
+            tmp_path,
+            """\
+            import multiprocessing
+            from multiprocessing import Process
+
+
+            def work(conn, payload):
+                return conn, payload
+
+
+            def start(ctx, conn, payload):
+                ctx.Process(target=work, args=(conn, *payload), daemon=True).start()
+                multiprocessing.Process(target=work, args=[conn, payload]).start()
+                return Process(target=work, args=(conn, payload))
+            """,
+        )
+        assert result.findings == []
+
     def test_submit_arguments_are_checked(self, tmp_path):
         result = self.lint_one(
             tmp_path,

@@ -90,9 +90,9 @@ class TestPlannerEquivalence:
             planner = case.planner(name)
             result = planner.plan(case.problem)
             expected = scalar_plan(planner, case.problem)
-            assert (result.success, result.tree_size) == (expected.success, expected.tree_size), (
-                case.source
-            )
+            assert (result.success, result.iterations, result.tree_size) == (
+                expected.success, expected.iterations, expected.tree_size,
+            ), case.source
             assert _path_bytes(result.path) == _path_bytes(expected.path), case.source
             if result.success:
                 assert _path_bytes(smoother.shortcut(result.path, case.problem)) == _path_bytes(
@@ -129,6 +129,26 @@ class TestPlannerEquivalence:
 
 
 class TestNonFiniteInputs:
+    @pytest.mark.parametrize("occupied", [np.zeros((0, 3)), np.array([[10.0, 0.0, 2.0]])])
+    def test_nan_point_raises_on_either_map(self, occupied):
+        """Every validity check raises on a NaN point, with or without a kd-tree to query."""
+        problem = PlanningProblem(
+            start=[0.0, 0.0, 2.0], goal=[40.0, 0.0, 2.0], occupied_centers=occupied
+        )
+        nan, ok = np.array([np.nan, 0.0, 2.0]), np.array([1.0, 0.0, 2.0])
+        checks = [
+            lambda: problem.state_valid(nan),
+            lambda: scalar_state_valid(problem, nan),
+            lambda: problem.edge_valid(ok, nan),
+            lambda: problem.extend_valid(ok, nan),
+            lambda: problem.edges_valid(ok[None], nan[None]),
+            lambda: problem.edges_valid(ok, np.array([ok, nan])),
+        ]
+        with np.errstate(invalid="ignore"):
+            for check in checks:
+                with pytest.raises(ValueError):
+                    check()
+
     @pytest.mark.parametrize("name", sorted(PLANNER_CLASSES))
     @pytest.mark.parametrize(
         "start, goal",
