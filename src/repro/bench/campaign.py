@@ -9,7 +9,7 @@ execution engine in several modes:
   caches and golden-prefix checkpointing disabled (every run rebuilds its
   world and re-flies its prefix);
 * ``serial_cached`` -- construction caches only (worlds, detector forks and
-  the motion-plan memo);
+  the kernel memos of :mod:`repro.sim.memo`);
 * ``serial_checkpointed`` -- caches plus golden-prefix checkpoint forks (the
   headline serial comparison);
 * ``parallel_checkpointed`` -- the full shipped engine (caches, checkpoints,
@@ -53,7 +53,7 @@ from repro.core.executor import (
 )
 from repro.core.results import mission_results_equal
 from repro.pipeline import builder
-from repro.planning.memo import plan_memo_stats
+from repro.planning.memo import PLAN_MEMO
 
 #: Schema identifier written into (and required from) every campaign report.
 CAMPAIGN_BENCH_SCHEMA = "repro-campaign-bench-v2"
@@ -271,7 +271,7 @@ def run_campaign_bench(
             if name == "serial_checkpointed":
                 # Captured before the next mode resets the per-process caches.
                 cache_stats = builder.world_cache_stats()
-                memo_stats = plan_memo_stats()
+                memo_stats = PLAN_MEMO.stats()
                 checkpoint_stats = checkpoint.checkpoint_stats().as_dict()
             if round_index > 0:
                 continue

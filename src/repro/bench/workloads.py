@@ -359,7 +359,8 @@ def record_corpus(missions: int = 1) -> ReferenceCorpus:
     ``missions`` seeded golden missions (seeds ``0..missions-1``) of at most
     :data:`CORPUS_MISSION_TIME_LIMIT` simulated seconds fly in each of
     :data:`CORPUS_ENVIRONMENTS`.  They fly with the construction caches off,
-    so the plan memo cannot serve a query an earlier flight already posed.
+    so no kernel memo can serve a plan query or a depth capture (and its ray
+    cast) that an earlier flight already posed.
     """
     from repro.core import knobs
     from repro.pipeline.builder import PipelineConfig, build_pipeline

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.core.injector import FaultInjectorNode
 from repro.pipeline.builder import build_pipeline, env_flag
 from repro.pipeline.runner import DEFAULT_ABORT_GRACE, MissionRunner
-from repro.planning.memo import reset_plan_memo
+from repro.sim.memo import reset_memos
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import RunSpec
@@ -443,6 +443,7 @@ def checkpoint_stats() -> CheckpointStats:
 
 
 def reset_checkpoint_caches() -> None:
-    """Drop all cursors and stored plans, and zero the statistics (tests, benchmarks)."""
+    """Drop all cursors and empty the kernel memos (:mod:`repro.sim.memo`), and
+    zero their statistics (tests, benchmarks)."""
     _MANAGER.reset()
-    reset_plan_memo()
+    reset_memos()

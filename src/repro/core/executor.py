@@ -154,6 +154,18 @@ class RunSpec:
         """Canonical tuple of everything that shapes the fault-free prefix."""
         return ("prefix-v1", *self._prefix_fields())
 
+    def flight_key(self) -> str:
+        """Identity of the flight, whatever the detector: the prefix without it.
+
+        The prefix groups of one mission seed that differ only in their
+        detector (fault injection, D&R with either detector) fly the same
+        poses until a detector acts.
+        """
+        scenario, seed, _detector, _training, *rest = self._prefix_fields()
+        return hashlib.sha1(
+            repr(("flight-v1", scenario, seed, *rest)).encode("utf-8")
+        ).hexdigest()[:16]
+
     def _prefix_fields(self) -> Tuple:
         cfg = self.config
         environment = getattr(cfg.environment, "name", cfg.environment)
@@ -499,12 +511,15 @@ def cache_order_key(spec: RunSpec):
     next to each other; within a group, injection specs come in ascending
     fault-activation order and golden (fault-free) specs come last -- exactly
     the order in which a golden-prefix cursor can serve them all with one
-    monotonic pass.  Results are always returned in submission order; only
-    the execution order changes.
+    monotonic pass.  The prefix groups of one flight (same
+    :meth:`RunSpec.flight_key`) come back to back, so the kernel memos
+    (:mod:`repro.sim.memo`) still hold its poses when the next group flies
+    them.  Results are always returned in submission order; only the
+    execution order changes.
     """
     plan = spec.fault_plan
     activation = float(plan.injection_time) if plan is not None else float("inf")
-    return (spec.prefix_key(), activation)
+    return (spec.flight_key(), spec.prefix_key(), activation)
 
 
 def cache_friendly_order(specs: Sequence[RunSpec]) -> List[RunSpec]:

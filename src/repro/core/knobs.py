@@ -164,9 +164,11 @@ NO_CACHE = _register(Knob(
     kind="flag",
     description=(
         "Disable the per-process construction caches (worlds in "
-        "pipeline.builder, detector forks in core.executor, the motion-plan "
-        "memo in planning.memo); every run then rebuilds its world, "
-        "deep-copies its detector and runs every planning query from scratch."
+        "pipeline.builder, detector forks in core.executor, the kernel memos "
+        "in sim.memo: motion plans, depth captures, point clouds and "
+        "collision checks); every run then rebuilds its world, deep-copies "
+        "its detector and computes every plan, capture, cloud and check "
+        "from scratch."
     ),
     default="caches enabled",
     parse=_parse_flag,

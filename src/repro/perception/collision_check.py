@@ -13,6 +13,7 @@ lead to re-planning or collisions".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,17 @@ from repro.rosmw.message import (
     OccupancyMapMsg,
     OdometryMsg,
 )
+from repro.sim.memo import Memo, memo_key
 from repro.sim.tickmath import norm
+
+#: An empty ``(0, 3)`` block for :meth:`CollisionChecker.compute`'s stacked query.
+_NO_POINTS = np.zeros((0, 3))
+
+#: Collision verdicts ``(time_to_collision, future_collision, closest)`` by
+#: map, configuration and vehicle state (:mod:`repro.sim.memo`).
+COLLISION_CHECK_MEMO: "Memo[CollisionCheckMsg, Tuple[float, bool, float]]" = Memo(
+    "collision_check", 1024
+)
 
 
 @dataclass
@@ -44,40 +55,42 @@ class CollisionChecker:
 
     def __init__(self, config: Optional[CollisionCheckConfig] = None) -> None:
         self.config = config if config is not None else CollisionCheckConfig()
-        self._tree: Optional[cKDTree] = None
+        self._centers: np.ndarray = _NO_POINTS
         self._map_resolution: float = 1.0
-        self._map_fingerprint: Optional[tuple] = None
+        #: :func:`~repro.sim.memo.memo_key` of the occupied centres and the
+        #: resolution; ``None`` before the first map.
+        self.map_key: Optional[bytes] = None
         self.future_collision_seq = 0
         self._last_future_collision = False
 
     # -------------------------------------------------------------- map input
     def update_map(self, occupied_centers: np.ndarray, resolution: float) -> None:
-        """Refresh the KD-tree over occupied voxel centres.
+        """Take a new occupancy map; the kd-tree over it is built on the first query.
 
-        The map node republishes at a fixed rate even when no new voxel was
-        observed, so the (content-derived) fingerprint skips the O(n log n)
-        tree rebuild whenever the occupied set is unchanged -- the dominant
-        case in the cruise phase of a mission.
+        The map node republishes at a fixed rate, but the occupied set changes
+        on almost every message, so content that equals the current map (same
+        :attr:`map_key`) keeps the current tree, and content that no check
+        queries before the next map costs no tree at all.
         """
         occupied_centers = np.ascontiguousarray(occupied_centers, dtype=float)
-        fingerprint = (
-            occupied_centers.shape,
-            float(resolution),
-            hash(occupied_centers.tobytes()),
-        )
-        if fingerprint == self._map_fingerprint:
+        map_key = memo_key(occupied_centers, float(resolution))
+        if map_key == self.map_key:
             return
-        self._map_fingerprint = fingerprint
+        self.map_key = map_key
+        self._centers = occupied_centers
         self._map_resolution = float(resolution)
-        if occupied_centers.size == 0:
-            self._tree = None
-        else:
-            self._tree = cKDTree(occupied_centers)
+        vars(self).pop("_tree", None)
+
+    @cached_property
+    def _tree(self) -> Optional[cKDTree]:
+        """The kd-tree over the occupied centres, ``None`` for an empty map."""
+        return cKDTree(self._centers) if self._centers.size else None
 
     def reset(self) -> None:
         """Forget the map and the future-collision latch (between missions)."""
-        self._tree = None
-        self._map_fingerprint = None
+        self._centers = _NO_POINTS
+        self.map_key = None
+        vars(self).pop("_tree", None)
         self.future_collision_seq = 0
         self._last_future_collision = False
 
@@ -123,7 +136,8 @@ class CollisionChecker:
         The message equals composing :meth:`time_to_collision`,
         :meth:`trajectory_collides` and :meth:`distance_to_nearest`, but the
         position, the lookahead samples and the way-points ahead go to the
-        kd-tree in one query, which answers each point independently.
+        kd-tree in one query, which answers each point independently.  The
+        verdict then goes through :meth:`report`.
         """
         ttc = float("inf")
         future_collision = False
@@ -144,14 +158,29 @@ class CollisionChecker:
             future_collision = bool(
                 (hit_dists[samples_end:] <= self.config.collision_clearance).any()
             )
+        return self.report(float(ttc), future_collision, closest)
+
+    def report(
+        self, time_to_collision: float, future_collision: bool, closest: float
+    ) -> CollisionCheckMsg:
+        """The message for one check's verdict; advances the future-collision latch.
+
+        ``future_collision_seq`` counts the checks on which the trajectory
+        ahead turned blocked.
+        """
         if future_collision and not self._last_future_collision:
             self.future_collision_seq += 1
         self._last_future_collision = future_collision
         return CollisionCheckMsg(
-            time_to_collision=float(ttc),
+            time_to_collision=time_to_collision,
             future_collision_seq=int(self.future_collision_seq),
             closest_obstacle_distance=closest,
         )
+
+    @property
+    def future_collision(self) -> bool:
+        """Whether the last check found the trajectory ahead blocked."""
+        return self._last_future_collision
 
     # --------------------------------------------------------------- helpers
     def _surface_distance(self, dist: float) -> float:
@@ -209,10 +238,6 @@ class CollisionChecker:
         return points[start_idx:][finite[start_idx:]]
 
 
-#: An empty ``(0, 3)`` block for :meth:`CollisionChecker.compute`'s stacked query.
-_NO_POINTS = np.zeros((0, 3))
-
-
 class CollisionCheckNode(KernelNode):
     """Node wrapper for the collision check kernel."""
 
@@ -254,7 +279,7 @@ class CollisionCheckNode(KernelNode):
         self.cache_inputs(odometry=odometry, waypoints=waypoints)
         self.charge_invocation()
         with self.measured():
-            msg = self.kernel.compute(odometry.position, odometry.velocity, waypoints)
+            msg = self._compute(odometry, waypoints)
         self.publish_output(self._check_pub, msg)
 
     def _do_recompute(self) -> None:
@@ -262,8 +287,35 @@ class CollisionCheckNode(KernelNode):
         if odometry is None:
             return
         waypoints = self.cached_input("waypoints") or []
-        msg = self.kernel.compute(odometry.position, odometry.velocity, waypoints)
+        msg = self._compute(odometry, waypoints)
         self.publish_output(self._check_pub, msg)
+
+    def _compute(self, odometry: OdometryMsg, waypoints: List) -> CollisionCheckMsg:
+        """``self.kernel.compute(...)`` with its kd-tree query memoized.
+
+        The key is what the query reads: the map, every configuration field,
+        the position, the velocity and the way-points' coordinates.  The
+        verdict goes through :meth:`CollisionChecker.report` on a hit too, so
+        the future-collision latch moves on every check.
+        """
+        kernel = self.kernel
+        position, velocity = odometry.position, odometry.velocity
+        return COLLISION_CHECK_MEMO.call(
+            (
+                kernel.map_key,
+                kernel.config,
+                position,
+                velocity,
+                np.array([c for w in waypoints for c in (w.x, w.y, w.z)], dtype=float),
+            ),
+            lambda: kernel.compute(position, velocity, waypoints),
+            lambda msg: (
+                msg.time_to_collision,
+                kernel.future_collision,
+                msg.closest_obstacle_distance,
+            ),
+            lambda verdict: kernel.report(*verdict),
+        )
 
     def reset_kernel(self) -> None:
         super().reset_kernel()

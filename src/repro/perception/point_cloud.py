@@ -14,6 +14,10 @@ import numpy as np
 from repro import topics
 from repro.pipeline.kernel import KernelNode
 from repro.rosmw.message import DepthImageMsg, PointCloudMsg
+from repro.sim.memo import Memo, frozen
+
+#: Point clouds by depth image (:mod:`repro.sim.memo`).
+POINT_CLOUD_MEMO: "Memo[PointCloudMsg, np.ndarray]" = Memo("point_cloud", 256)
 
 
 class PointCloudGenerator:
@@ -115,15 +119,34 @@ class PointCloudNode(KernelNode):
         self.cache_inputs(depth=msg)
         self.charge_invocation()
         with self.measured():
-            cloud = self.kernel.compute(msg)
+            cloud = self._compute(msg)
         self.publish_output(self._cloud_pub, cloud)
 
     def _do_recompute(self) -> None:
         depth: Optional[DepthImageMsg] = self.cached_input("depth")
         if depth is None:
             return
-        cloud = self.kernel.compute(depth)
+        cloud = self._compute(depth)
         self.publish_output(self._cloud_pub, cloud)
+
+    def _compute(self, msg: DepthImageMsg) -> PointCloudMsg:
+        """``self.kernel.compute(msg)``, memoized on what it reads (never the header)."""
+        kernel = self.kernel
+        return POINT_CLOUD_MEMO.call(
+            (
+                np.asarray(msg.depth, dtype=float),
+                msg.fov_h,
+                msg.fov_v,
+                msg.max_range,
+                msg.camera_position,
+                msg.camera_yaw,
+                kernel.stride,
+                kernel.max_points,
+            ),
+            lambda: kernel.compute(msg),
+            lambda cloud: frozen(cloud.points),
+            lambda points: PointCloudMsg(points=points.copy()),
+        )
 
     def corrupt_internal(self, rng: np.random.Generator, bit: int) -> str:
         """A transient fault in the (stateless) conversion corrupts one point."""

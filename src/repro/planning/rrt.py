@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -103,10 +103,6 @@ class PlanningProblem:
         self.start = np.asarray(self.start, dtype=float)
         self.goal = np.asarray(self.goal, dtype=float)
         self.occupied_centers = np.asarray(self.occupied_centers, dtype=float)
-        if self.occupied_centers.size:
-            self._tree: Optional[cKDTree] = cKDTree(self.occupied_centers)
-        else:
-            self._tree = None
         self._lo = np.asarray(self.bounds_lo, dtype=float)
         self._hi = np.asarray(self.bounds_hi, dtype=float)
         # The bounds shrunk by CERT_SLACK, clipped to finite floats so that an
@@ -115,6 +111,12 @@ class PlanningProblem:
         self._cert_lo = np.clip(self._lo + CERT_SLACK, -largest, largest).tolist()
         self._cert_hi = np.clip(self._hi - CERT_SLACK, -largest, largest).tolist()
         self._cert_clearance = self.clearance + CERT_SLACK
+
+    @cached_property
+    def _tree(self) -> Optional[cKDTree]:
+        """The kd-tree over the occupied centres, built on the first query;
+        ``None`` for an empty map."""
+        return cKDTree(self.occupied_centers) if self.occupied_centers.size else None
 
     # ---------------------------------------------------------------- queries
     def _out_of_bounds(self, points: np.ndarray) -> bool:

@@ -27,10 +27,37 @@ from repro import topics
 from repro.rosmw.message import DepthImageMsg, FlightCommandMsg, ImuMsg, OdometryMsg
 from repro.rosmw.node import Node
 from repro.sim.degradation import SensorDegradation
+from repro.sim.memo import Memo, frozen
 from repro.sim.sensors import CameraConfig, DepthCamera, Imu, OdometrySensor
 from repro.sim.tickmath import norm
 from repro.sim.vehicle import QuadrotorDynamics, QuadrotorParams, QuadrotorState
 from repro.sim.world import World
+
+
+#: Depth images by camera pose (:mod:`repro.sim.memo`).
+DEPTH_CAPTURE_MEMO: "Memo[DepthImageMsg, DepthImageMsg]" = Memo("depth_capture", 256)
+
+
+def _stored_image(image: DepthImageMsg) -> DepthImageMsg:
+    return DepthImageMsg(
+        depth=frozen(image.depth),
+        fov_h=image.fov_h,
+        fov_v=image.fov_v,
+        max_range=image.max_range,
+        camera_position=frozen(image.camera_position),
+        camera_yaw=image.camera_yaw,
+    )
+
+
+def _fresh_image(stored: DepthImageMsg) -> DepthImageMsg:
+    return DepthImageMsg(
+        depth=stored.depth.copy(),
+        fov_h=stored.fov_h,
+        fov_v=stored.fov_v,
+        max_range=stored.max_range,
+        camera_position=stored.camera_position.copy(),
+        camera_yaw=stored.camera_yaw,
+    )
 
 
 @dataclass
@@ -140,7 +167,13 @@ class AirSimInterfaceNode(Node):
     def _publish_camera(self) -> None:
         if self.mission_done:
             return
-        image = self.camera.capture(self.vehicle.state)
+        camera, state = self.camera, self.vehicle.state
+        image = DEPTH_CAPTURE_MEMO.call(
+            (camera.world.content_key(), camera.config, state.position, state.yaw),
+            lambda: camera.capture(state),
+            _stored_image,
+            _fresh_image,
+        )
         if self.degradation is not None:
             image = self.degradation.degrade_depth(image)
         self._depth_pub.publish(image)

@@ -22,6 +22,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sim.memo import memo_key
+
 
 @dataclass(frozen=True)
 class Cuboid:
@@ -102,6 +104,7 @@ class World:
         else:
             self._lo = np.zeros((0, 3))
             self._hi = np.zeros((0, 3))
+        self._boxes_key = memo_key(self._lo, self._hi)
 
     def add_obstacle(self, obstacle: Cuboid) -> None:
         """Add one obstacle and refresh the vectorised representation."""
@@ -112,6 +115,10 @@ class World:
         """Add several obstacles at once."""
         self.obstacles.extend(obstacles)
         self._refresh_arrays()
+
+    def content_key(self) -> bytes:
+        """Digest of the bounds and the obstacle boxes: everything a query reads."""
+        return memo_key(self.bounds_lo, self.bounds_hi, self._boxes_key)
 
     @property
     def num_obstacles(self) -> int:

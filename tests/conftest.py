@@ -26,11 +26,11 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True)
 def cold_engine_caches():
-    """Start every test without checkpoint cursors or stored plans.
+    """Start every test without checkpoint cursors or kernel memo entries.
 
-    The plan memo and the cursors outlive a test; without this reset, what a
-    test observes (plan calls, forks, cache hits) would depend on which tests
-    ran before it.
+    The kernel memos and the cursors outlive a test; without this reset, what
+    a test observes (kernel calls, forks, cache hits) would depend on which
+    tests ran before it.
     """
     checkpoint.reset_checkpoint_caches()
 

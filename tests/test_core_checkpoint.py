@@ -40,7 +40,7 @@ from repro.core.results import (
 from repro.pipeline import builder
 from repro.pipeline.builder import PipelineConfig, build_pipeline
 from repro.pipeline.runner import MissionRunner
-from repro.planning.memo import plan_memo_stats
+from repro.sim.memo import memo_stats
 
 
 @pytest.fixture(autouse=True)
@@ -265,7 +265,7 @@ class TestManagerOrdering:
     def test_cache_friendly_order_groups_prefixes(self):
         config = _config(num_golden=2, num_injections_per_stage=2)
         campaign = Campaign(config)
-        specs = campaign.golden_specs() + campaign.stage_injection_specs("injection")
+        specs = campaign.evaluation_specs()
         ordered = cache_friendly_order(specs)
         assert sorted(s.key() for s in ordered) == sorted(s.key() for s in specs)
         # Within each prefix group: ascending activation times, golden last.
@@ -283,6 +283,17 @@ class TestManagerOrdering:
         assert len(seen_groups) == len({s.prefix_key() for s in specs})
         for _, activations in seen_groups:
             assert activations == sorted(activations)
+        # Prefix groups differing only in their detector setting (the FI,
+        # D&R(G) and D&R(A) groups of one mission seed) are adjacent.
+        detectors_by_flight = {}
+        for spec in specs:
+            detectors_by_flight.setdefault(spec.flight_key(), set()).add(spec.detector)
+        assert set(map(frozenset, detectors_by_flight.values())) == {
+            frozenset({None, DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER})
+        }
+        flights = [spec.flight_key() for spec in ordered]
+        changes = sum(1 for a, b in zip(flights, flights[1:]) if a != b)
+        assert changes == len(detectors_by_flight) - 1
 
     def test_prefix_key_shared_by_golden_and_injections(self):
         config = _config()
@@ -467,9 +478,15 @@ class TestEndToEndEquivalence:
         builder.reset_world_cache()
         cached = Campaign(config).full_evaluation(executor=SerialExecutor())
         assert checkpoint.checkpoint_stats().forks > 0
-        # The scratch run above flew with the plan memo off, so the byte
-        # comparison below also covers plans served from the memo.
-        assert plan_memo_stats()["hits"] > 0
+        # The scratch run above flew with the memos off, so the byte
+        # comparison below also covers plans, depth images, point clouds and
+        # collision verdicts served from them.
+        assert {name: stats["hits"] > 0 for name, stats in memo_stats().items()} == {
+            "collision_check": True,
+            "depth_capture": True,
+            "motion_plan": True,
+            "point_cloud": True,
+        }
 
         parallel_runs = {}
         for workers in (1, 2, 4):

@@ -1,4 +1,4 @@
-"""Tests for the per-process motion-plan memo (``repro.planning.memo``)."""
+"""Tests for the motion-plan memo (``repro.planning.memo``)."""
 
 import gc
 import weakref
@@ -9,8 +9,7 @@ import pytest
 
 from repro import topics
 from repro.core import checkpoint
-from repro.planning import memo
-from repro.planning.memo import memoized_plan, plan_key, plan_memo_stats
+from repro.planning.memo import PLAN_MEMO, memoized_plan, plan_key
 from repro.planning.motion_planner import MotionPlannerNode, PlannerConfig
 from repro.planning.rrt import PLANNER_CLASSES, PlanningProblem, make_planner
 from repro.rosmw.graph import NodeGraph
@@ -73,7 +72,7 @@ class TestHits:
         first = memoized_plan(_planner(name), _problem())
         hit = memoized_plan(_planner(name), _problem())
         assert len(plan_calls) == 2  # the direct call and the one miss
-        assert plan_memo_stats() == {"hits": 1, "misses": 1}
+        assert PLAN_MEMO.stats() == {"hits": 1, "misses": 1}
         assert fresh.success
         assert _fingerprint(first) == _fingerprint(fresh)
         assert _fingerprint(hit) == _fingerprint(fresh)
@@ -160,7 +159,7 @@ class TestKey:
         assert plan_key(_planner(), other) != plan_key(_planner(), base)
         memoized_plan(_planner(), base)
         memoized_plan(_planner(), other)
-        assert plan_memo_stats() == {"hits": 0, "misses": 2}
+        assert PLAN_MEMO.stats() == {"hits": 0, "misses": 2}
         assert len(plan_calls) == 2
 
     @pytest.mark.parametrize(
@@ -177,7 +176,7 @@ class TestKey:
     def test_any_planner_change_misses(self, planner, plan_calls):
         memoized_plan(_planner(), _problem())
         memoized_plan(planner, _problem())
-        assert plan_memo_stats() == {"hits": 0, "misses": 2}
+        assert PLAN_MEMO.stats() == {"hits": 0, "misses": 2}
         assert len(plan_calls) == 2
 
     def test_planner_attribute_set_after_construction_is_keyed(self):
@@ -228,33 +227,33 @@ class TestLifecycle:
             with pytest.raises(ValueError):
                 memoized_plan(_planner(), bad)
         assert len(plan_calls) == 2
-        assert plan_memo_stats() == {"hits": 0, "misses": 2}
-        assert len(memo._PLAN_MEMO) == 0
+        assert PLAN_MEMO.stats() == {"hits": 0, "misses": 2}
+        assert len(PLAN_MEMO) == 0
 
     def test_lru_bound_holds(self, monkeypatch, plan_calls):
-        monkeypatch.setattr(memo, "PLAN_MEMO_MAX", 2)
+        monkeypatch.setattr(PLAN_MEMO, "capacity", 2)
         planners = [_planner(seed=seed, max_iterations=30) for seed in range(3)]
         for planner in planners:
             memoized_plan(planner, _problem())
-        assert len(memo._PLAN_MEMO) == 2
+        assert len(PLAN_MEMO) == 2
         memoized_plan(planners[2], _problem())  # newest: still stored
         memoized_plan(planners[0], _problem())  # oldest: evicted, runs again
         assert len(plan_calls) == 4
-        assert plan_memo_stats() == {"hits": 1, "misses": 4}
-        assert len(memo._PLAN_MEMO) == 2
+        assert PLAN_MEMO.stats() == {"hits": 1, "misses": 4}
+        assert len(PLAN_MEMO) == 2
 
     def test_no_cache_knob_runs_every_plan(self, monkeypatch, plan_calls):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         for _ in range(3):
             memoized_plan(_planner(), _problem())
         assert len(plan_calls) == 3
-        assert plan_memo_stats() == {"hits": 0, "misses": 0}
-        assert len(memo._PLAN_MEMO) == 0
+        assert PLAN_MEMO.stats() == {"hits": 0, "misses": 0}
+        assert len(PLAN_MEMO) == 0
 
     def test_checkpoint_reset_clears_the_memo(self, plan_calls):
         memoized_plan(_planner(), _problem())
         checkpoint.reset_checkpoint_caches()
-        assert plan_memo_stats() == {"hits": 0, "misses": 0}
+        assert PLAN_MEMO.stats() == {"hits": 0, "misses": 0}
         memoized_plan(_planner(), _problem())
         assert len(plan_calls) == 2
 
@@ -285,7 +284,7 @@ class TestMotionPlannerNode:
         first_graph, _ = self._fly()
         second_graph, _ = self._fly()
         assert len(plan_calls) == 1
-        assert plan_memo_stats() == {"hits": 1, "misses": 1}
+        assert PLAN_MEMO.stats() == {"hits": 1, "misses": 1}
         assert self._waypoints(second_graph) == self._waypoints(first_graph)
 
     def test_recompute_is_served_from_the_memo(self, plan_calls):
@@ -293,5 +292,5 @@ class TestMotionPlannerNode:
         published = self._waypoints(graph)
         assert node.recompute()
         assert len(plan_calls) == 1
-        assert plan_memo_stats()["hits"] == 1
+        assert PLAN_MEMO.stats()["hits"] == 1
         assert self._waypoints(graph) == published

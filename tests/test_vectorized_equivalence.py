@@ -34,6 +34,7 @@ from repro.perception.occupancy import (
 from repro.perception.point_cloud import PointCloudGenerator
 from repro.pipeline.builder import PipelineConfig, build_pipeline
 from repro.pipeline.runner import MissionRunner
+from repro.sim.memo import memo_key
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +139,17 @@ class TestCollisionEquivalence:
     def test_fingerprint_skips_rebuild_only_for_identical_maps(self, workload):
         checker = CollisionChecker()
         checker.update_map(workload.occupied_centers, resolution=1.0)
+        assert "_tree" not in vars(checker)  # built on the first query
         tree_before = checker._tree
         checker.update_map(workload.occupied_centers.copy(), resolution=1.0)
-        assert checker._tree is tree_before  # unchanged content: no rebuild
+        assert vars(checker)["_tree"] is tree_before  # unchanged content: no rebuild
         changed = workload.occupied_centers + 1.0
         checker.update_map(changed, resolution=1.0)
+        assert "_tree" not in vars(checker)
         assert checker._tree is not tree_before
+        np.testing.assert_array_equal(checker._tree.data, changed)
+        # The fingerprint is the collision memo's map key.
+        assert checker.map_key == memo_key(changed, 1.0)
 
 
 class TestDetectorEquivalence:
