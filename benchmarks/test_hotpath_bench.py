@@ -37,12 +37,12 @@ def test_smoke_bench_writes_valid_report(tmp_path):
         "occupancy_integration",
         "point_cloud_generation",
         "collision_check",
-        "detector_gad_window",
-        "detector_aad_window",
-        "preprocess_transform",
         "motion_planning",
         "depth_raycast",
     }
+    # The committed report must list exactly the kernels the bench runs, so
+    # it goes stale (and fails here) when a kernel is added or deleted.
+    assert set(validate_report_file(COMMITTED_REPORT)["kernels"]) == set(kernels)
     # Every vectorized kernel must beat its scalar reference; the occupancy
     # gate is looser here than the full-bench >=3x because the smoke workload
     # is tiny and CI machines are noisy.

@@ -27,12 +27,9 @@ from repro.bench.harness import (
 from repro.bench.scalar_ref import (
     ScalarCollisionChecker,
     ScalarOccupancyMap,
-    scalar_aad_errors,
-    scalar_gad_scores,
     scalar_plan,
     scalar_point_cloud,
     scalar_ray_cast,
-    scalar_sign_exponent,
 )
 from repro.bench.workloads import (
     HotpathWorkload,
@@ -41,7 +38,6 @@ from repro.bench.workloads import (
     record_corpus,
 )
 from repro.core import knobs
-from repro.detection.preprocess import sign_exponent_transform
 from repro.perception.collision_check import CollisionChecker
 from repro.perception.occupancy import OccupancyMap
 from repro.perception.point_cloud import PointCloudGenerator
@@ -109,54 +105,6 @@ def _bench_collision(workload: HotpathWorkload, repeats: int) -> Dict:
     calls = len(workload.query_poses)
     return kernel_entry(
         *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=calls)
-    )
-
-
-def _bench_gad(workload: HotpathWorkload, repeats: int) -> Dict:
-    """Gaussian-detector window scoring: one broadcast vs per-cell checks."""
-    window = workload.detector_window
-    gad = workload.gad
-    features = list(gad.detectors)
-
-    def run_vector() -> None:
-        gad.score_batch(window, features)
-
-    def run_scalar() -> None:
-        scalar_gad_scores(gad, window, features)
-
-    return kernel_entry(
-        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=len(window))
-    )
-
-
-def _bench_aad(workload: HotpathWorkload, repeats: int) -> Dict:
-    """Autoencoder window scoring: one batched forward pass vs row-by-row."""
-    window = workload.detector_window
-    aad = workload.aad
-
-    def run_vector() -> None:
-        aad.score_batch(window)
-
-    def run_scalar() -> None:
-        scalar_aad_errors(aad, window)
-
-    return kernel_entry(
-        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=len(window))
-    )
-
-
-def _bench_preprocess(workload: HotpathWorkload, repeats: int) -> Dict:
-    """Sign-exponent transform: one bit-twiddling pass vs struct round-trips."""
-    values = workload.detector_window.reshape(-1)
-
-    def run_vector() -> None:
-        sign_exponent_transform(values)
-
-    def run_scalar() -> None:
-        scalar_sign_exponent(values)
-
-    return kernel_entry(
-        *time_pair(run_vector, run_scalar, repeats, scalar_repeats=1, calls_per_run=len(values))
     )
 
 
@@ -237,9 +185,6 @@ def run_bench(
         "occupancy_integration": _bench_occupancy(workload, repeats),
         "point_cloud_generation": _bench_point_cloud(workload, repeats),
         "collision_check": _bench_collision(workload, repeats),
-        "detector_gad_window": _bench_gad(workload, repeats),
-        "detector_aad_window": _bench_aad(workload, repeats),
-        "preprocess_transform": _bench_preprocess(workload, repeats),
         "motion_planning": _bench_motion_planning(corpus, repeats),
         "depth_raycast": _bench_depth_raycast(corpus, repeats),
     }
@@ -247,9 +192,7 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "created_unix": time.time(),
         "host": host_fingerprint(),
-        "env": knobs.snapshot(
-            ("REPRO_SCALAR_KERNELS", "MAVFI_RUNS", "MAVFI_WORKERS")
-        ),
+        "env": knobs.snapshot(("MAVFI_RUNS", "MAVFI_WORKERS")),
         "workload": workload.description,
         "repeats": repeats,
         "kernels": kernels,

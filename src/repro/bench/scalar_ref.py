@@ -1,22 +1,21 @@
 """Scalar (point-by-point) reference implementations of the hot-path kernels.
 
 Every function here computes the same result as its vectorized counterpart in
-``repro.perception`` / ``repro.detection``, but one element at a time -- the
-shape the code had before the hot paths were vectorized.  The motion
-planners and the depth ray cast keep their previous implementation here too:
-one kd-tree query per validity check, a per-node ``np.vstack`` and a
-``(rays, boxes, 3)`` slab broadcast.  They exist for two reasons:
+``repro.perception``, ``repro.planning`` or ``repro.sim``, but one element at
+a time -- the shape the code had before the hot paths were vectorized.  The
+motion planners and the depth ray cast keep their previous implementation
+here too: one kd-tree query per validity check, a per-node ``np.vstack`` and
+a ``(rays, boxes, 3)`` slab broadcast.  They exist for two reasons:
 
 * the benchmark harness (``python -m repro bench``) measures the vectorized
   kernels *against* them, so ``BENCH_hotpath.json`` records honest speedups;
 * the equivalence tests assert that vectorization did not change behaviour
   (identical occupancy keys and log-odds, identical collision verdicts,
-  identical detector scores, identical plans and ray hits on seeded
-  workloads).
+  identical plans and ray hits on seeded workloads).
 
 The occupancy-map scalar reference is :class:`ScalarOccupancyMap` (re-exported
-here), which can also drive whole campaigns via ``REPRO_SCALAR_KERNELS=1``.
-The planning and ray-casting references are used only by tests and the bench.
+here).  None of these references is selectable at run time: missions always
+fly the vectorized kernels, and only tests and the bench call these.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.detection.autoencoder import AadDetector
-from repro.detection.gaussian import GaussianDetector
-from repro.detection.preprocess import sign_exponent_int16
 from repro.perception.collision_check import CollisionCheckConfig
 from repro.perception.occupancy import ScalarOccupancyMap  # noqa: F401  (re-export)
 from repro.planning.rrt import (
@@ -146,45 +142,6 @@ class ScalarCollisionChecker:
         return False
 
 
-def scalar_gad_scores(
-    detector: GaussianDetector, matrix: np.ndarray, features: Optional[Sequence[str]] = None
-) -> np.ndarray:
-    """Cell-by-cell reference of :meth:`GaussianDetector.score_batch`.
-
-    Replicates the frozen arithmetic of :meth:`~repro.detection.gaussian.CGad.check`
-    (no online update) one sample and one feature at a time; returns the
-    boolean anomaly matrix of shape ``(N, F)``.
-    """
-    features = list(features) if features is not None else list(detector.detectors)
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    out = np.zeros(matrix.shape, dtype=bool)
-    for row in range(matrix.shape[0]):
-        for col, feature in enumerate(features):
-            cgad = detector.detectors[feature]
-            cfg = cgad.config  # per-cGAD config, exactly like CGad.check
-            std = max(cgad.model.std, cfg.min_std)
-            deviation = abs(float(matrix[row, col]) - cgad.model.mean)
-            armed = cgad.model.count >= cfg.min_samples
-            out[row, col] = bool(armed and deviation > cfg.n_sigma * std)
-    return out
-
-
-def scalar_aad_errors(detector: AadDetector, vectors: np.ndarray) -> np.ndarray:
-    """Row-by-row reference of :meth:`AadDetector.score_batch`."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    errors = np.zeros(vectors.shape[0])
-    for row in range(vectors.shape[0]):
-        normalized = (vectors[row] - detector.feature_mean) / detector.feature_std
-        errors[row] = float(detector.autoencoder.reconstruction_error(normalized)[0])
-    return errors
-
-
-def scalar_sign_exponent(values: np.ndarray) -> np.ndarray:
-    """Value-by-value reference of :func:`~repro.detection.preprocess.sign_exponent_transform`."""
-    flat = np.asarray(values, dtype=float).reshape(-1)
-    return np.array([sign_exponent_int16(v) for v in flat], dtype=np.int64)
-
-
 # ---------------------------------------------------------------- ray casting
 def scalar_ray_cast(
     world: World,
@@ -227,7 +184,7 @@ def scalar_ray_cast(
     # Ground plane.
     ground_z = world.bounds_lo[2]
     dz = directions[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_ground = (ground_z - origin[2]) / dz
     t_ground = np.where((dz < 0) & (t_ground > 0), t_ground, np.inf)
     hits = np.minimum(hits, t_ground)

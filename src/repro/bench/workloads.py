@@ -3,9 +3,9 @@
 The benchmark harness measures kernels on data that looks like what a real
 campaign produces: depth frames ray-cast from poses along a sweep through a
 procedurally generated Sparse environment, the point clouds reconstructed
-from those frames, and detector windows shaped like the monitored-feature
-traces.  Everything is seeded, so two bench runs (or the vector and scalar
-sides of one run) see byte-identical inputs.
+from those frames, the occupied set a mid-mission collision checker sees and
+seeded query poses against it.  Everything is seeded, so two bench runs (or
+the vector and scalar sides of one run) see byte-identical inputs.
 
 The motion-planning and ray-casting kernels are measured on a *reference
 corpus* instead (:func:`record_corpus`): every planning problem and every
@@ -23,10 +23,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.detection.autoencoder import AadDetector, AutoencoderConfig
-from repro.detection.gaussian import GadConfig, GaussianDetector
 from repro.perception.point_cloud import PointCloudGenerator
-from repro.pipeline.states import MONITORED_FEATURES
 from repro.planning.rrt import CERT_SLACK, PLANNER_CLASSES, PlanningProblem, _TreePlannerBase
 from repro.rosmw.message import DepthImageMsg, Waypoint
 from repro.sim.environments import make_environment
@@ -44,9 +41,6 @@ class HotpathWorkload:
     clouds: List[np.ndarray]
     occupied_centers: np.ndarray
     query_poses: List[Dict]
-    detector_window: np.ndarray
-    gad: GaussianDetector
-    aad: AadDetector
     description: Dict = field(default_factory=dict)
 
 
@@ -68,43 +62,9 @@ def _camera_sweep(world: World, n_frames: int, seed: int) -> List[DepthImageMsg]
     return frames
 
 
-def _detector_window(n_samples: int, seed: int) -> np.ndarray:
-    """A window of delta vectors shaped like the monitored-feature traces."""
-    rng = np.random.default_rng(seed)
-    n_features = len(MONITORED_FEATURES)
-    window = rng.normal(0.0, 2.0, size=(n_samples, n_features))
-    # A few outliers so the anomaly branches are exercised.
-    outliers = rng.integers(0, n_samples, size=max(n_samples // 50, 1))
-    window[outliers] += rng.choice([-60.0, 60.0], size=(outliers.size, 1))
-    return window
-
-
-def _trained_detectors(seed: int) -> tuple:
-    """Small deterministic GAD + AAD fitted on a synthetic error-free window."""
-    rng = np.random.default_rng(seed)
-    gad = GaussianDetector(GadConfig())
-    for index, (_name, detector) in enumerate(gad.detectors.items()):
-        detector.model.merge_prior(
-            mean=float(rng.normal(0.0, 0.5)),
-            std=float(rng.uniform(1.5, 3.0)),
-            count=500 + index,
-        )
-    features = list(MONITORED_FEATURES)
-    aad = AadDetector(
-        AutoencoderConfig(
-            layer_sizes=(len(features), 6, 3, len(features)), epochs=8, seed=seed
-        ),
-        features=features,
-    )
-    clean = np.random.default_rng(seed + 1).normal(0.0, 2.0, size=(256, len(features)))
-    aad.fit({}, vectors=clean)
-    return gad, aad
-
-
 def build_workload(smoke: bool = False, seed: int = 0) -> HotpathWorkload:
     """Build the fixed bench workload (a smaller one with ``smoke=True``)."""
     n_frames = 6 if smoke else 24
-    n_samples = 512 if smoke else 4096
     world = make_environment("sparse", seed=seed)
     frames = _camera_sweep(world, n_frames=n_frames, seed=seed)
     generator = PointCloudGenerator()
@@ -138,17 +98,12 @@ def build_workload(smoke: bool = False, seed: int = 0) -> HotpathWorkload:
             {"position": position, "velocity": velocity, "waypoints": waypoints}
         )
 
-    window = _detector_window(n_samples=n_samples, seed=seed + 13)
-    gad, aad = _trained_detectors(seed=seed + 17)
     return HotpathWorkload(
         world=world,
         depth_frames=frames,
         clouds=clouds,
         occupied_centers=occupied_centers,
         query_poses=query_poses,
-        detector_window=window,
-        gad=gad,
-        aad=aad,
         description={
             "environment": "sparse",
             "seed": seed,
@@ -157,7 +112,6 @@ def build_workload(smoke: bool = False, seed: int = 0) -> HotpathWorkload:
             "cloud_points": int(sum(len(c) for c in clouds)),
             "occupied_voxels": int(len(occupied_centers)),
             "collision_poses": len(query_poses),
-            "detector_samples": n_samples,
             "smoke": bool(smoke),
         },
     )

@@ -281,10 +281,6 @@ class GoldenPrefixCursor:
             graph.spin_until(self.t)
         return self.t
 
-    def advance_to_completion(self) -> float:
-        """Advance until the mission terminates or the hard limit is reached."""
-        return self.advance_before(float("inf"))
-
     # --------------------------------------------------------------- forking
     def fork(self):
         """Deep-copied pipeline state plus the exact paused loop time."""

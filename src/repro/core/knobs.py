@@ -196,17 +196,6 @@ CHECKPOINT_VERIFY = _register(Knob(
     parse=_parse_flag,
 ))
 
-SCALAR_KERNELS = _register(Knob(
-    name="REPRO_SCALAR_KERNELS",
-    kind="flag",
-    description=(
-        "Select the scalar (dict-backed) reference kernels instead of the "
-        "vectorized hot-path kernels (perception.occupancy and friends)."
-    ),
-    default="vectorized kernels",
-    parse=_parse_flag,
-))
-
 BENCH_RESULTS_DIR = _register(Knob(
     name="REPRO_BENCH_RESULTS_DIR",
     kind="path",

@@ -36,10 +36,6 @@ class DistributionStats:
     mean: float
     std: float
 
-    def as_row(self) -> List[float]:
-        """The summary as a list (min, q1, median, q3, max)."""
-        return [self.minimum, self.q1, self.median, self.q3, self.maximum]
-
 
 def distribution_stats(values: Iterable[float]) -> DistributionStats:
     """Compute the five-number summary of ``values``.

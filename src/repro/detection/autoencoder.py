@@ -236,25 +236,6 @@ class AadDetector:
                 self._latest_deltas[feature] = 0.0
         return anomalous, error
 
-    def score_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Reconstruction errors for a batch of raw feature vectors.
-
-        ``vectors`` has shape ``(N, len(features))`` (unnormalized, as
-        produced by :class:`~repro.detection.training.FeatureCollectorNode`).
-        The whole window is normalized and pushed through the autoencoder in
-        one forward pass; the result is identical to calling
-        :meth:`check_sample` on each row with a fresh delta state, but one
-        batched matrix multiply instead of N tiny ones.
-        """
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-        normalized = (vectors - self.feature_mean) / self.feature_std
-        return self.autoencoder.reconstruction_error(normalized)
-
-    def check_batch(self, vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched anomaly verdicts: ``(anomalous_mask, reconstruction_errors)``."""
-        errors = self.score_batch(vectors)
-        return errors > self.threshold, errors
-
     def reset_state(self) -> None:
         """Forget the latest deltas (between missions)."""
         self._latest_deltas.clear()

@@ -20,9 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional
 
 from repro.pipeline.states import FEATURE_STAGE, MONITORED_FEATURES
 
@@ -158,34 +156,6 @@ class GaussianDetector:
                 anomalies.append(decision)
         return anomalies
 
-    def score_batch(
-        self, matrix: np.ndarray, features: Optional[Sequence[str]] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched *frozen* scoring of a window of delta samples.
-
-        ``matrix`` has shape ``(N, len(features))``; ``features`` defaults to
-        every cGAD in registration order.  Models are not updated (the frozen
-        counterpart of ``online_update=False``), so whole windows can be
-        scored with one broadcast instead of N*F Python-level checks --
-        exactly what :meth:`CGad.check` computes per sample.  Returns
-        ``(anomalous_mask, scores, thresholds)``, each of shape ``(N, F)``.
-        """
-        features = list(features) if features is not None else list(self.detectors)
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        # Honour each cGAD's own config (it may diverge from the detector
-        # default), exactly like the per-sample ``CGad.check`` path does.
-        cgads = [self.detectors[f] for f in features]
-        means = np.array([c.model.mean for c in cgads])
-        stds = np.array([max(c.model.std, c.config.min_std) for c in cgads])
-        n_sigma = np.array([c.config.n_sigma for c in cgads])
-        armed = np.array(
-            [c.model.count >= c.config.min_samples for c in cgads], dtype=bool
-        )
-        scores = np.abs(matrix - means[None, :])
-        thresholds = np.broadcast_to(n_sigma[None, :] * stds[None, :], scores.shape)
-        anomalous = armed[None, :] & (scores > thresholds)
-        return anomalous, scores, thresholds
-
     def fork_for_run(self) -> "GaussianDetector":
         """Cheap per-mission fork: trained statistics copied, counters fresh.
 
@@ -226,8 +196,8 @@ class GaussianDetector:
                 "min_std": self.config.min_std,
                 "online_update": self.config.online_update,
             },
-            # Feature order is semantic (it defines score_batch column order),
-            # so it is stored explicitly instead of riding on JSON key order.
+            # Stored explicitly because ``sort_keys`` reorders "models": a
+            # reloaded detector keeps the cGAD order it was trained with.
             "features": list(self.detectors),
             "models": {name: det.model.to_dict() for name, det in self.detectors.items()},
         }

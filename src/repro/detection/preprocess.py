@@ -19,8 +19,6 @@ import math
 import struct
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
-
 #: Exponent values below this bias (i.e. magnitudes below roughly 1e-7) are
 #: treated as zero, so that the transform is smooth through zero and tiny
 #: numerical noise does not masquerade as a large state change.
@@ -53,23 +51,6 @@ def sign_exponent_int16(value: float) -> int:
     return int(sign * max(exponent - EXPONENT_BIAS, 0))
 
 
-def sign_exponent_transform(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sign_exponent_int16` over an array of float64 values.
-
-    Bit-identical to the scalar transform for every input class (normals,
-    denormals, zeros, infinities and NaN -- NaN maps to ``TRANSFORM_RANGE``
-    regardless of its sign bit), but one bit-twiddling pass over the whole
-    array instead of a ``struct`` round-trip per value.  Used by the offline
-    window-scoring paths and the benchmark harness.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits = values.view(np.uint64)
-    exponent = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
-    sign = np.where((bits >> np.uint64(63)) & np.uint64(1), -1, 1)
-    transformed = sign * np.maximum(exponent - EXPONENT_BIAS, 0)
-    return np.where(np.isnan(values), TRANSFORM_RANGE, transformed)
-
-
 class DataPreprocessor:
     """Stateful transform + delta computation over named features.
 
@@ -100,24 +81,6 @@ class DataPreprocessor:
             if delta is not None:
                 deltas[feature] = delta
         return deltas
-
-    def update_array(self, feature: str, values: np.ndarray) -> np.ndarray:
-        """Feed a whole time series of one feature; returns the delta series.
-
-        Equivalent to calling :meth:`update` on each value in order (the
-        first-ever sample of the feature yields no delta), but the transform
-        and the delta differencing run vectorized.  Intended for offline
-        paths that replay whole recorded traces at once.
-        """
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if values.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        transformed = sign_exponent_transform(values)
-        previous = self._previous.get(feature)
-        self._previous[feature] = int(transformed[-1])
-        if previous is None:
-            return np.diff(transformed)
-        return np.diff(np.concatenate([[previous], transformed]))
 
     def reset_feature(self, features: Iterable[str]) -> None:
         """Forget the previous sample of the given features."""

@@ -68,10 +68,6 @@ class RecoveryCoordinatorNode(Node):
             self.recovery_counts[stage] = self.recovery_counts.get(stage, 0) + 1
         return recomputed_any
 
-    def kernels_of(self, stage: str) -> List[KernelNode]:
-        """The kernels registered for ``stage``."""
-        return list(self._stage_kernels.get(stage, []))
-
     @property
     def total_recoveries(self) -> int:
         """Total stage recomputations performed."""

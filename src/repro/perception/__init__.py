@@ -17,12 +17,7 @@ A standalone localization/sensor-fusion filter
 
 from repro.perception.collision_check import CollisionCheckNode, CollisionChecker
 from repro.perception.localization import ComplementaryFilter, StateEstimate
-from repro.perception.occupancy import (
-    OccupancyMap,
-    OctoMapNode,
-    ScalarOccupancyMap,
-    make_occupancy_map,
-)
+from repro.perception.occupancy import OccupancyMap, OctoMapNode, ScalarOccupancyMap
 from repro.perception.point_cloud import PointCloudGenerator, PointCloudNode
 
 __all__ = [
@@ -30,7 +25,6 @@ __all__ = [
     "PointCloudNode",
     "OccupancyMap",
     "ScalarOccupancyMap",
-    "make_occupancy_map",
     "OctoMapNode",
     "CollisionChecker",
     "CollisionCheckNode",

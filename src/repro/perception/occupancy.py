@@ -8,21 +8,21 @@ the planner's decisions because the surrounding voxels still mark the obstacle
 
 Two storage backends implement the same clamped log-odds semantics:
 
-* :class:`OccupancyMap` -- the default **vectorized** backend.  Voxel keys are
-  packed into sorted ``int64`` arrays (21 bits per axis) and every update or
-  query operates on whole point clouds with ``np.unique`` / ``searchsorted``
-  batch merges instead of per-voxel dict operations.  This is the hot path of
-  every campaign mission (the map updates at camera-ish rate for the whole
-  flight), and the array backend is what makes it cheap.
+* :class:`OccupancyMap` -- the **vectorized** backend, the one
+  :class:`OctoMapNode` builds.  Voxel keys are packed into sorted ``int64``
+  arrays (21 bits per axis) and every update or query operates on whole point
+  clouds with ``np.unique`` / ``searchsorted`` batch merges instead of
+  per-voxel dict operations.  This is the hot path of every campaign mission
+  (the map updates at camera-ish rate for the whole flight), and the array
+  backend is what makes it cheap.
 * :class:`ScalarOccupancyMap` -- the original Python-dict backend, kept as the
-  bit-exact *scalar reference*.  ``REPRO_SCALAR_KERNELS=1`` selects it via
-  :func:`make_occupancy_map` (the escape hatch used by the benchmark harness
-  and the equivalence tests).
+  bit-exact *scalar reference* for the benchmark harness and the equivalence
+  tests.  No mission flies it.
 
 Both backends produce identical log-odds values (the arithmetic is the same
 IEEE-754 double operations) and enumerate voxels in the same canonical order
-(lexicographic by voxel index), so campaign results are bit-identical no
-matter which backend runs.
+(lexicographic by voxel index), so a mission flown on either backend writes
+the same record.
 """
 
 from __future__ import annotations
@@ -38,25 +38,10 @@ from repro.rosmw.message import OccupancyMapMsg, PointCloudMsg
 
 VoxelKey = Tuple[int, int, int]
 
-#: Environment variable selecting the scalar (dict-backed) reference kernels.
-SCALAR_KERNELS_ENV = "REPRO_SCALAR_KERNELS"
-
 #: Bits per axis in the packed ``int64`` voxel key (signed range +-2**20).
 _AXIS_BITS = 21
 _AXIS_OFFSET = 1 << (_AXIS_BITS - 1)
 _AXIS_MASK = (1 << _AXIS_BITS) - 1
-
-
-def use_scalar_kernels() -> bool:
-    """Whether the scalar reference kernels are selected via the environment.
-
-    Reads the declared ``REPRO_SCALAR_KERNELS`` knob through the central
-    registry; the import is function-level because this module is reached
-    during ``repro.core``'s own package initialisation.
-    """
-    from repro.core import knobs
-
-    return knobs.flag(SCALAR_KERNELS_ENV)
 
 
 def _pack_indices(idx: np.ndarray) -> np.ndarray:
@@ -162,8 +147,7 @@ class ScalarOccupancyMap(_OccupancyMapBase):
 
     This is the pre-vectorization implementation, kept bit-exact so the
     benchmark harness can measure the vectorized backend against it and the
-    equivalence tests can assert identical keys and log-odds.  Select it for
-    whole campaigns with ``REPRO_SCALAR_KERNELS=1``.
+    equivalence tests can assert identical keys and log-odds.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -366,18 +350,6 @@ class OccupancyMap(_OccupancyMapBase):
         self.update_count = 0
 
 
-def make_occupancy_map(**kwargs) -> _OccupancyMapBase:
-    """Build the configured occupancy-map backend.
-
-    Returns the vectorized :class:`OccupancyMap` unless the
-    ``REPRO_SCALAR_KERNELS`` environment variable selects the scalar
-    reference.  Both backends are drop-in interchangeable.
-    """
-    if use_scalar_kernels():
-        return ScalarOccupancyMap(**kwargs)
-    return OccupancyMap(**kwargs)
-
-
 class OctoMapNode(KernelNode):
     """Node wrapper for the OctoMap generation kernel.
 
@@ -396,7 +368,7 @@ class OctoMapNode(KernelNode):
         update_rate: float = 2.0,
     ) -> None:
         super().__init__("octomap_generation", latency=latency)
-        self.map = make_occupancy_map(resolution=resolution)
+        self.map = OccupancyMap(resolution=resolution)
         self.update_rate = update_rate
         self._latest_cloud: Optional[PointCloudMsg] = None
 

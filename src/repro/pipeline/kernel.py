@@ -69,11 +69,6 @@ class KernelProfiler:
 _active_profiler: Optional[KernelProfiler] = None
 
 
-def active_profiler() -> Optional[KernelProfiler]:
-    """The currently active :class:`KernelProfiler`, if any."""
-    return _active_profiler
-
-
 @contextmanager
 def profiled_kernels() -> Iterator[KernelProfiler]:
     """Activate a fresh profiler for the duration of the ``with`` block."""

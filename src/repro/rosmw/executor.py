@@ -34,10 +34,6 @@ class Executor:
         """Add a timer to the schedule."""
         heapq.heappush(self._heap, (timer.next_fire, self._next_count(), timer))
 
-    def pending_count(self) -> int:
-        """Number of live timer entries currently scheduled."""
-        return sum(1 for _, _, t in self._heap if not t.cancelled)
-
     def reschedule_timer(
         self, timer: Timer, fire_time: float, front: bool = False
     ) -> None:

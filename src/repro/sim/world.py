@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -248,7 +248,7 @@ class World:
         # Ground plane.
         ground_z = self.bounds_lo[2]
         dz = directions[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_ground = (ground_z - origin[2]) / dz
         t_ground = np.where((dz < 0) & (t_ground > 0), t_ground, np.inf)
         hits = np.minimum(hits, t_ground)
@@ -256,23 +256,6 @@ class World:
         return hits
 
     # -------------------------------------------------------------- utilities
-    def free_position(
-        self,
-        rng: np.random.Generator,
-        clearance: float = 1.5,
-        z_range: Tuple[float, float] = (1.0, 4.0),
-        max_tries: int = 200,
-    ) -> Optional[np.ndarray]:
-        """Sample a collision-free position inside the world bounds."""
-        lo = np.asarray(self.bounds_lo, dtype=float)
-        hi = np.asarray(self.bounds_hi, dtype=float)
-        for _ in range(max_tries):
-            p = rng.uniform(lo, hi)
-            p[2] = rng.uniform(z_range[0], min(z_range[1], hi[2]))
-            if self.distance_to_nearest(p) > clearance:
-                return p
-        return None
-
     def occupied_fraction(self, resolution: float = 2.0) -> float:
         """Fraction of the world footprint covered by obstacles (diagnostic)."""
         lo = np.asarray(self.bounds_lo)

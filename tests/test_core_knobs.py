@@ -26,7 +26,6 @@ class TestRegistry:
             "REPRO_NO_CACHE",
             "REPRO_NO_CHECKPOINT",
             "REPRO_CHECKPOINT_VERIFY",
-            "REPRO_SCALAR_KERNELS",
             "REPRO_BENCH_RESULTS_DIR",
             "REPRO_CHAOS",
             "REPRO_CHAOS_SEED",
@@ -73,7 +72,7 @@ class TestFlags:
         assert knobs.flag("REPRO_NO_CACHE") is True
 
     def test_unset_is_false(self):
-        assert knobs.flag("REPRO_SCALAR_KERNELS") is False
+        assert knobs.flag("REPRO_CHECKPOINT_VERIFY") is False
 
     def test_flag_accessor_rejects_non_flag_knobs(self):
         with pytest.raises(ValueError, match="not a flag"):
@@ -187,15 +186,6 @@ class TestConsolidatedCallSites:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert env_flag("REPRO_NO_CACHE") is True
         assert construction_caches_enabled() is False
-
-    def test_occupancy_scalar_kernels(self, monkeypatch):
-        from repro.perception.occupancy import use_scalar_kernels
-
-        assert use_scalar_kernels() is False
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "yes")
-        assert use_scalar_kernels() is True
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "no")
-        assert use_scalar_kernels() is False
 
     def test_executor_worker_count(self, monkeypatch):
         from repro.core.executor import env_worker_count

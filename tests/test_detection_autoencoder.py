@@ -108,6 +108,34 @@ class TestAadDetector:
         assert not ok
         trained_aad.reset_state()
 
+    def test_check_sample_scores_the_normalized_vector(self, trained_aad):
+        """The online error is the autoencoder's error on the normalized vector."""
+        rng = np.random.default_rng(11)
+        scales = 3.0 + np.arange(len(MONITORED_FEATURES))  # the training spread
+        vectors = rng.normal(0.0, 1.0, size=(16, len(MONITORED_FEATURES))) * scales
+        vectors[8:] *= 50.0
+        verdicts = []
+        for vector in vectors:
+            detector = trained_aad.fork_for_run()  # no delta state carried over
+            anomalous, error = detector.check_sample(dict(zip(detector.features, vector)))
+            normalized = (vector - trained_aad.feature_mean) / trained_aad.feature_std
+            expected = float(trained_aad.autoencoder.reconstruction_error(normalized)[0])
+            assert error == expected
+            assert anomalous == (expected > trained_aad.threshold)
+            verdicts.append(anomalous)
+        assert not any(verdicts[:8]) and all(verdicts[8:])
+
+    def test_partial_sample_completed_with_latest_deltas(self, trained_aad):
+        """A sample naming one feature is scored with the others' latest deltas."""
+        detector = trained_aad.fork_for_run()
+        full = dict(zip(detector.features, np.arange(len(detector.features), dtype=float)))
+        detector.check_sample(full)
+        _, error = detector.check_sample({"waypoint_x": -4.0})
+        vector = np.array([full[name] for name in detector.features])
+        vector[detector.features.index("waypoint_x")] = -4.0
+        normalized = (vector - trained_aad.feature_mean) / trained_aad.feature_std
+        assert error == float(trained_aad.autoencoder.reconstruction_error(normalized)[0])
+
     def test_fit_requires_data(self):
         detector = AadDetector()
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Tests for data preprocessing and the Gaussian-based detector (GAD)."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.fault import flip_float_bit
 from repro.detection.gaussian import CGad, GadConfig, GaussianDetector, OnlineGaussian
 from repro.detection.preprocess import (
+    EXPONENT_BIAS,
     DataPreprocessor,
     TRANSFORM_RANGE,
     sign_exponent_int16,
@@ -52,6 +56,20 @@ class TestSignExponentTransform:
     def test_nan_maps_to_extreme(self):
         assert sign_exponent_int16(float("nan")) == TRANSFORM_RANGE
 
+    def test_negative_nan_maps_to_positive_extreme(self):
+        # The sign bit of a NaN is ignored: every NaN is the same outlier.
+        negative_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(negative_nan)
+        assert sign_exponent_int16(negative_nan) == TRANSFORM_RANGE
+
+    def test_denormal_maps_to_zero(self):
+        assert sign_exponent_int16(5e-324) == 0
+        assert sign_exponent_int16(-5e-324) == 0
+
+    def test_infinities_map_to_signed_extremes(self):
+        assert sign_exponent_int16(float("inf")) == TRANSFORM_RANGE
+        assert sign_exponent_int16(-float("inf")) == -TRANSFORM_RANGE
+
     def test_tiny_values_clamped_to_zero(self):
         assert sign_exponent_int16(1e-12) == 0
         assert sign_exponent_int16(-1e-12) == 0
@@ -59,6 +77,34 @@ class TestSignExponentTransform:
     def test_within_int16_range(self):
         for v in (1e308, -1e308, 1e-308, float("inf"), -float("inf")):
             assert -32768 <= sign_exponent_int16(v) <= 32767
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_property_matches_frexp_exponent(self, value):
+        """Property: the bit-level transform equals a frexp-derived reference."""
+        if math.isnan(value):
+            expected = TRANSFORM_RANGE
+        elif math.isinf(value):
+            expected = int(math.copysign(TRANSFORM_RANGE, value))
+        elif abs(value) < sys.float_info.min:  # zero or denormal: exponent field 0
+            expected = 0
+        else:
+            field = math.frexp(abs(value))[1] + 1022  # IEEE-754 biased exponent
+            expected = int(math.copysign(max(field - EXPONENT_BIAS, 0), value))
+        assert sign_exponent_int16(value) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    def test_property_non_decreasing(self, a, b):
+        """Property: the transform never reverses the order of two values."""
+        low, high = min(a, b), max(a, b)
+        assert sign_exponent_int16(low) <= sign_exponent_int16(high)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_property_odd_symmetry(self, value):
+        """Property: negating a value negates its transform."""
+        assert sign_exponent_int16(-value) == -sign_exponent_int16(value)
 
 
 class TestDataPreprocessor:
@@ -84,6 +130,19 @@ class TestDataPreprocessor:
         deltas = pre.update_many({"a": 2.0, "b": 2.0})
         assert set(deltas) == {"a", "b"}
         assert deltas["b"] == 0
+
+    def test_trace_deltas_are_consecutive_transform_differences(self):
+        """Replaying a trace yields the differences of consecutive transforms."""
+        trace = np.random.default_rng(5).normal(0.0, 100.0, size=37)
+        trace[5], trace[9], trace[20] = np.nan, np.inf, -np.inf
+        transformed = [sign_exponent_int16(v) for v in trace]
+        pre = DataPreprocessor()
+        deltas = [pre.update_many({"f": v}).get("f") for v in trace]
+        assert deltas[0] is None  # first-ever sample yields no delta
+        assert deltas[1:] == np.diff(transformed).tolist()
+        # The history carries over: the next sample is differenced against
+        # the last value of the trace.
+        assert pre.update("f", 1.0) == sign_exponent_int16(1.0) - transformed[-1]
 
     def test_reset_feature(self):
         pre = DataPreprocessor()
@@ -157,6 +216,24 @@ class TestCGad:
         assert detector.model.count == 0
 
 
+    def test_frozen_check_is_the_n_sigma_test_on_a_fixed_model(self):
+        config = GadConfig(n_sigma=3.0, min_samples=5, min_std=1.0, online_update=False)
+        detector = CGad("x", config)
+        detector.model.merge_prior(mean=2.0, std=4.0, count=50)
+        assert detector.model.std == pytest.approx(4.0)
+        threshold = 3.0 * detector.model.std
+        verdicts = []
+        for delta in np.random.default_rng(1).normal(2.0, 8.0, size=64):
+            decision = detector.check(delta)
+            assert decision.score == abs(delta - 2.0)
+            assert decision.threshold == threshold
+            assert decision.anomalous == (abs(delta - 2.0) > threshold)
+            verdicts.append(decision.anomalous)
+        assert any(verdicts) and not all(verdicts)
+        assert detector.alarm_count == sum(verdicts)
+        assert (detector.model.count, detector.model.mean) == (50, 2.0)
+
+
 class TestGaussianDetector:
     def test_fit_and_detect(self, synthetic_training_deltas):
         detector = GaussianDetector(GadConfig(n_sigma=6, min_samples=5))
@@ -174,6 +251,19 @@ class TestGaussianDetector:
         assert trained_gad.stage_of("time_to_collision") == "perception"
         assert trained_gad.stage_of("waypoint_x") == "planning"
         assert trained_gad.stage_of("command_vx") == "control"
+
+    def test_check_sample_honours_per_cgad_config(self, synthetic_training_deltas):
+        """A cGAD whose config diverges from the detector default keeps its own."""
+        detector = GaussianDetector(GadConfig(n_sigma=6, min_samples=5))
+        detector.fit(synthetic_training_deltas)
+        detector.detectors["waypoint_x"].config = GadConfig(n_sigma=0.5, min_samples=5)
+        # Every feature moves one standard deviation: only the 0.5-sigma cGAD fires.
+        sample = {
+            name: cgad.model.mean + max(cgad.model.std, cgad.config.min_std)
+            for name, cgad in detector.detectors.items()
+        }
+        anomalies = detector.check_sample(sample)
+        assert [decision.feature for decision in anomalies] == ["waypoint_x"]
 
     def test_alarm_counting(self, synthetic_training_deltas):
         detector = GaussianDetector(GadConfig(n_sigma=6, min_samples=5))

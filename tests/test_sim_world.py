@@ -1,9 +1,12 @@
 """Tests for the cuboid world: collision queries and ray casting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.scalar_ref import scalar_ray_cast
 from repro.sim.world import Cuboid, World
 
 
@@ -91,6 +94,21 @@ class TestRayCast:
         down = np.array([[0.0, 0.0, -1.0]])
         depths = world.ray_cast((0, 0, 2.0), down)
         assert depths[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("cast", [World.ray_cast, scalar_ray_cast])
+    def test_ground_plane_overflow_is_silent(self, cast):
+        """A ray skimming the ground overflows the ground-plane divide to inf.
+
+        Both the live kernel and its reference must return a miss without
+        raising a floating-point warning.
+        """
+        world = World()
+        origin = np.array([0.0, 0.0, 2.0])
+        skimming = np.array([[1.0, 0.0, -1e-310]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depths = cast(world, origin, skimming)
+        assert depths.tolist() == [np.inf]
 
     def test_ray_from_inside_box(self, simple_world):
         depths = simple_world.ray_cast((10, 0, 3), np.array([[1.0, 0.0, 0.0]]))

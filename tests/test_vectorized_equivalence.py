@@ -1,36 +1,23 @@
 """Vectorized-vs-scalar equivalence tests for the hot-path kernels.
 
 The vectorized kernels (array-backed occupancy map, batched back-projection,
-KD-tree collision checks, batched detector scoring, bit-twiddled sign-exponent
-transform) must behave exactly like their scalar references: identical
-occupancy keys and log-odds, identical collision verdicts, identical detector
-scores on seeded workloads -- and, end to end, bit-identical campaign results
-under ``REPRO_SCALAR_KERNELS=1``.
+KD-tree collision checks) must behave exactly like their scalar references:
+identical occupancy keys and log-odds and identical collision verdicts on
+seeded workloads -- and, end to end, bit-identical mission records when the
+OctoMap node is built on the scalar map instead.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.scalar_ref import (
-    ScalarCollisionChecker,
-    scalar_aad_errors,
-    scalar_gad_scores,
-    scalar_point_cloud,
-    scalar_sign_exponent,
-)
+from repro.bench.scalar_ref import ScalarCollisionChecker, scalar_point_cloud
 from repro.bench.workloads import build_workload
 from repro.core.injector import FaultInjectorNode, FaultPlan
 from repro.core.results import mission_result_to_dict
-from repro.detection.gaussian import GadConfig
-from repro.detection.preprocess import sign_exponent_transform
+from repro.perception import occupancy
 from repro.perception.collision_check import CollisionChecker
-from repro.perception.occupancy import (
-    OccupancyMap,
-    ScalarOccupancyMap,
-    make_occupancy_map,
-    use_scalar_kernels,
-)
+from repro.perception.occupancy import OccupancyMap, ScalarOccupancyMap
 from repro.perception.point_cloud import PointCloudGenerator
 from repro.pipeline.builder import PipelineConfig, build_pipeline
 from repro.pipeline.runner import MissionRunner
@@ -90,16 +77,6 @@ class TestOccupancyEquivalence:
         assert vector.insert_point_cloud(cloud) == scalar.insert_point_cloud(cloud)
         assert vector.all_keys() == scalar.all_keys()
 
-    def test_factory_respects_escape_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
-        assert not use_scalar_kernels()
-        assert isinstance(make_occupancy_map(), OccupancyMap)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-        assert use_scalar_kernels()
-        assert isinstance(make_occupancy_map(), ScalarOccupancyMap)
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "0")
-        assert isinstance(make_occupancy_map(), OccupancyMap)
-
 
 class TestPointCloudEquivalence:
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -152,116 +129,16 @@ class TestCollisionEquivalence:
         assert checker.map_key == memo_key(changed, 1.0)
 
 
-class TestDetectorEquivalence:
-    def test_gad_batch_matches_per_cell_reference(self, workload):
-        features = list(workload.gad.detectors)
-        anomalous, _, _ = workload.gad.score_batch(workload.detector_window, features)
-        expected = scalar_gad_scores(workload.gad, workload.detector_window, features)
-        np.testing.assert_array_equal(anomalous, expected)
-
-    def test_gad_batch_matches_sequential_frozen_checks(self, workload):
-        """score_batch agrees with CGad.check run sample by sample."""
-        gad = workload.gad
-        for detector in gad.detectors.values():
-            detector.config = GadConfig(online_update=False)
-        features = list(gad.detectors)
-        anomalous, scores, thresholds = gad.score_batch(
-            workload.detector_window[:64], features
-        )
-        for row in range(64):
-            for col, feature in enumerate(features):
-                decision = gad.detectors[feature].check(
-                    workload.detector_window[row, col]
-                )
-                assert decision.anomalous == bool(anomalous[row, col])
-                assert decision.score == pytest.approx(scores[row, col], rel=1e-12)
-                assert decision.threshold == pytest.approx(
-                    thresholds[row, col], rel=1e-12
-                )
-
-    def test_aad_batch_matches_row_by_row(self, workload):
-        batched = workload.aad.score_batch(workload.detector_window)
-        rows = scalar_aad_errors(workload.aad, workload.detector_window)
-        np.testing.assert_allclose(batched, rows, rtol=1e-9, atol=1e-12)
-
-    def test_aad_check_batch_matches_check_sample_verdicts(self, workload):
-        """check_batch agrees with the online path on stateless windows."""
-        import copy
-
-        aad = workload.aad
-        window = workload.detector_window[:64]
-        anomalous, errors = aad.check_batch(window)
-        np.testing.assert_array_equal(anomalous, errors > aad.threshold)
-        features = aad.features
-        for row in range(len(window)):
-            fresh = copy.deepcopy(aad)  # per-row: no delta-state carry-over
-            verdict, error = fresh.check_sample(dict(zip(features, window[row])))
-            assert verdict == bool(anomalous[row])
-            assert error == pytest.approx(errors[row], rel=1e-9)
-
-    def test_gad_batch_honours_per_cgad_configs(self, workload):
-        """Diverging one cGAD's config changes score_batch like CGad.check."""
-        import copy
-
-        gad = copy.deepcopy(workload.gad)
-        features = list(gad.detectors)
-        victim = features[0]
-        gad.detectors[victim].config = GadConfig(n_sigma=0.5, online_update=False)
-        anomalous, _, thresholds = gad.score_batch(workload.detector_window, features)
-        expected = scalar_gad_scores(gad, workload.detector_window, features)
-        np.testing.assert_array_equal(anomalous, expected)
-        decision = gad.detectors[victim].check(workload.detector_window[0, 0])
-        assert decision.threshold == pytest.approx(thresholds[0, 0], rel=1e-12)
-        assert anomalous[:, 0].any()  # 0.5 sigma must actually fire
-
-
-class TestPreprocessEquivalence:
-    def test_edge_cases(self):
-        values = np.array(
-            [
-                0.0, -0.0, 1.0, -1.0, 1.5, -2.75, 1e-300, -1e-300, 5e-324,
-                1e-8, -1e-8, 1e8, 1e308, -1e308, np.inf, -np.inf,
-                np.nan, np.copysign(np.nan, -1.0),
-            ]
-        )
-        np.testing.assert_array_equal(
-            sign_exponent_transform(values), scalar_sign_exponent(values)
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(allow_nan=True, allow_infinity=True))
-    def test_property_any_float(self, value):
-        assert sign_exponent_transform(np.array([value]))[0] == scalar_sign_exponent(
-            np.array([value])
-        )[0]
-
-    def test_update_array_matches_sequential_updates(self):
-        from repro.detection.preprocess import DataPreprocessor
-
-        rng = np.random.default_rng(5)
-        values = rng.normal(0.0, 100.0, size=37)
-        values[5], values[9] = np.nan, np.inf
-        batched_pre, sequential_pre = DataPreprocessor(), DataPreprocessor()
-        batched = batched_pre.update_array("f", values)
-        sequential = [sequential_pre.update("f", v) for v in values]
-        assert sequential[0] is None  # first-ever sample yields no delta
-        assert list(batched) == sequential[1:]
-        # State carries across calls identically on both paths.
-        batched2 = batched_pre.update_array("f", values[:5])
-        sequential2 = [sequential_pre.update("f", v) for v in values[:5]]
-        assert list(batched2) == sequential2
-        assert batched_pre._previous == sequential_pre._previous
-
-
 def _fly(monkeypatch, scalar: bool, fault_plan=None):
-    """One fixed-seed mission with the selected kernel backend."""
-    if scalar:
-        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "1")
-    else:
-        monkeypatch.delenv("REPRO_SCALAR_KERNELS", raising=False)
+    """One fixed-seed mission, its OctoMap node built on the selected map backend."""
+    backend = ScalarOccupancyMap if scalar else OccupancyMap
+    # OctoMapNode instantiates the module-level name, so this swaps the backend
+    # of the map the mission flies and nothing else.
+    monkeypatch.setattr(occupancy, "OccupancyMap", backend)
     handles = build_pipeline(
         PipelineConfig(environment="farm", seed=2, mission_time_limit=60.0)
     )
+    assert type(handles.kernel("octomap_generation").map) is backend
     if fault_plan is not None:
         handles.graph.add_node(FaultInjectorNode(fault_plan, handles.kernels))
     return MissionRunner(handles).run(setting="equivalence", seed=2)
