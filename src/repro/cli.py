@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         type=Path,
         default=None,
-        help="detector cache directory (shared by workers)",
+        help="detector cache directory (reused across runs)",
     )
     campaign.add_argument(
         "--training-envs",

@@ -175,9 +175,10 @@ class Campaign:
     :meth:`run_specs` support custom orchestration.
 
     Detectors (``gad``/``aad``) may be passed in pre-trained; otherwise
-    :meth:`ensure_detectors` trains or loads them from
-    ``config.detector_cache_dir`` on first use.  Live detector objects never
-    cross process boundaries -- workers reconstruct them from the config.
+    :meth:`ensure_detectors` trains them, or loads them from
+    ``config.detector_cache_dir``, the first time a run needs one.  Every
+    executor flies these very objects; a process pool ships them to its
+    workers.
     """
 
     def __init__(
@@ -235,6 +236,8 @@ class Campaign:
     ) -> RunRecord:
         """Run one mission with the given fault plan and detector."""
         tag, custom = self._detector_tag(detector)
+        if tag in (DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER):
+            self.ensure_detectors()
         spec = RunSpec(
             config=self.config,
             setting=setting,
@@ -268,7 +271,7 @@ class Campaign:
     def detector_objects(
         self, extra: Optional[Mapping[str, object]] = None
     ) -> Dict[str, object]:
-        """In-memory tag->detector mapping for serial spec execution."""
+        """The tag->detector mapping every executor flies this campaign's specs with."""
         mapping: Dict[str, object] = {}
         if self.gad is not None:
             mapping[DETECTOR_GAUSSIAN] = self.gad
@@ -298,12 +301,10 @@ class Campaign:
         stream to JSONL as they complete and already-completed specs are
         skipped (resume).
 
-        Distributed executors reconstruct ``gaussian``/``autoencoder``
-        detectors from this campaign's configuration instead of shipping the
-        in-memory objects; custom detector objects are rejected up front, and
-        dispatching with in-memory ``gad``/``aad`` objects but no
-        ``detector_cache_dir`` to pin them raises, because the workers'
-        reconstruction could silently diverge from the serial result.
+        Every executor flies this campaign's ``gad``/``aad`` -- trained or
+        loaded once here when a pending spec names them -- and
+        ``extra_detectors``; a process pool ships those objects to its
+        workers, so pooled and serial records match.
 
         ``policy`` defaults to the pass-through policy: the first mission
         exception propagates.  A capturing one (e.g.
@@ -324,28 +325,8 @@ class Campaign:
             pending = [spec for spec in specs if spec.key() not in known]
         else:
             pending = specs
-        tags = {spec.detector for spec in pending if spec.detector is not None}
-        if tags & {DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER}:
-            if not getattr(executor, "distributed", False):
-                # Serial executors need the live detector objects.
-                self.ensure_detectors()
-            elif self.gad is not None or self.aad is not None:
-                # Workers reconstruct detectors from self.config; in-memory
-                # detectors of unknown provenance would silently diverge from
-                # the serial result unless a shared cache pins them.
-                if self.config.detector_cache_dir is None:
-                    raise ValueError(
-                        "campaign holds in-memory detectors but no "
-                        "detector_cache_dir; a distributed executor would "
-                        "reconstruct detectors from the campaign config, "
-                        "which may not match them -- set detector_cache_dir "
-                        "(shared with the workers) or use a serial executor"
-                    )
-                self.ensure_detectors()
-            elif self.config.detector_cache_dir is not None:
-                # Train once here so every worker loads the same cached
-                # detectors instead of re-training.
-                self.ensure_detectors()
+        if any(spec.detector in (DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER) for spec in pending):
+            self.ensure_detectors()
         return execute_specs(
             specs,
             executor=executor,
@@ -407,7 +388,7 @@ class Campaign:
         }
         if detector not in settings:
             raise ValueError(
-                f"dr_golden_specs needs a reconstructible detector tag "
+                f"dr_golden_specs needs a trained detector tag "
                 f"({DETECTOR_GAUSSIAN!r} or {DETECTOR_AUTOENCODER!r}), got {detector!r}"
             )
         if count is not None:
@@ -712,15 +693,3 @@ class Campaign:
         for spec, record in zip(specs, results):
             outcome.add(spec.setting, record)
         return outcome
-
-    def run_all(
-        self,
-        executor=None,
-        store: Optional[JsonlResultStore] = None,
-        resume: bool = True,
-        scenarios: Optional[Sequence[Union[str, Scenario]]] = None,
-    ) -> CampaignResult:
-        """Alias of :meth:`full_evaluation` (the whole campaign, one call)."""
-        return self.full_evaluation(
-            executor=executor, store=store, resume=resume, scenarios=scenarios
-        )

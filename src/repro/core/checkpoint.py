@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.injector import FaultInjectorNode
 from repro.pipeline.builder import build_pipeline, env_flag
-from repro.pipeline.runner import DEFAULT_ABORT_GRACE, MissionRunner
+from repro.pipeline.runner import MissionRunner
 from repro.sim.memo import reset_memos
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,16 +78,11 @@ def supports_spec(spec: "RunSpec") -> bool:
     """Whether ``spec``'s prefix identity is capturable by a cursor key.
 
     Excluded: in-memory :class:`~repro.sim.world.World` environments (their
-    content is not part of the spec key) and custom detector objects (their
-    identity cannot be derived from the campaign configuration).
+    content is not part of the spec key).  Detector objects need no key: a
+    cursor serves only the object it was flown with
+    (:attr:`GoldenPrefixCursor.detector_source`).
     """
-    from repro.core.executor import RECONSTRUCTIBLE_DETECTORS
-
-    if not isinstance(spec.config.environment, str):
-        return False
-    if spec.detector is not None and spec.detector not in RECONSTRUCTIBLE_DETECTORS:
-        return False
-    return True
+    return isinstance(spec.config.environment, str)
 
 
 # ------------------------------------------------------------------ statistics
@@ -220,15 +215,13 @@ class GoldenPrefixCursor:
 
         cfg = spec.config
         self.time_step = float(cfg.time_step)
-        self.hard_limit = float(cfg.mission_time_limit) + float(
-            getattr(cfg, "abort_grace", DEFAULT_ABORT_GRACE)
-        )
+        self.hard_limit = float(cfg.mission_time_limit) + float(cfg.abort_grace)
         handles = build_pipeline(pipeline_config_for(spec))
         #: The detector object this cursor's prefix was flown with.  Kept (by
         #: strong reference) so the manager can refuse to serve a spec whose
         #: live detector is a *different* object than the one in the prefix --
-        #: the prefix key derives detector identity from the campaign config,
-        #: which cannot distinguish two differently-trained in-memory objects.
+        #: the prefix key names only the detector's tag, which cannot tell two
+        #: detector objects apart.
         self.detector_source = detector
         if detector is not None:
             from repro.detection.node import attach_detection
@@ -290,18 +283,21 @@ class GoldenPrefixCursor:
 
 
 # ---------------------------------------------------------------- the manager
+#: Cursors a :class:`CheckpointManager` keeps (full pipelines are MB-scale).
+MAX_CURSORS = 4
+
+
 class CheckpointManager:
     """Per-process registry of golden-prefix cursors, keyed by prefix identity.
 
-    Cursors are kept in a small LRU (full pipelines are MB-scale); the
-    execution engine sorts spec batches into cache-friendly order (grouped by
-    prefix, injections by ascending activation time, golden runs last) so the
-    cursor of the active group advances monotonically and is evicted only
-    when its group is finished.
+    Cursors are kept in an LRU of :data:`MAX_CURSORS`; the execution engine
+    sorts spec batches into cache-friendly order (grouped by prefix,
+    injections by ascending activation time, golden runs last) so the cursor
+    of the active group advances monotonically and is evicted only when its
+    group is finished.
     """
 
-    def __init__(self, max_cursors: int = 4) -> None:
-        self.max_cursors = int(max_cursors)
+    def __init__(self) -> None:
         self._cursors: "OrderedDict[str, GoldenPrefixCursor]" = OrderedDict()
         self.stats = CheckpointStats()
 
@@ -327,7 +323,7 @@ class CheckpointManager:
         else:
             self.stats.cursor_hits += 1
         self._cursors.move_to_end(key)
-        while len(self._cursors) > self.max_cursors:
+        while len(self._cursors) > MAX_CURSORS:
             self._cursors.popitem(last=False)
         return cursor
 
@@ -408,11 +404,7 @@ class CheckpointManager:
         injector: Optional[FaultInjectorNode],
     ) -> "MissionResult":
         cfg = spec.config
-        runner = MissionRunner(
-            handles,
-            time_step=cfg.time_step,
-            abort_grace=float(getattr(cfg, "abort_grace", DEFAULT_ABORT_GRACE)),
-        )
+        runner = MissionRunner(handles, time_step=cfg.time_step, abort_grace=cfg.abort_grace)
         result = runner.run(
             setting=spec.setting,
             seed=spec.seed,

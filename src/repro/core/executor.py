@@ -14,10 +14,9 @@ that specs can cross process boundaries).  Executors turn lists of specs into
   worker processes, one pipe each; worker count comes from the
   ``MAVFI_WORKERS`` environment variable (or the constructor), each worker
   flies one whole prefix group at a time and reports every spec's start,
-  failed attempts and result as they happen, and the parent reconstructs
-  the detectors the batch names from each spec's campaign configuration and
-  hands them to every worker it starts; workers build their own worlds and
-  cursors.
+  failed attempts and result as they happen; every worker receives the
+  caller's objects for the detector tags the batch names, and builds its own
+  worlds and cursors.
 
 Because every mission is fully seeded, the two executors produce bit-identical
 result streams for the same spec list; :func:`execute_specs` additionally
@@ -74,7 +73,7 @@ from repro.pipeline.builder import (
     build_pipeline,
     construction_caches_enabled,
 )
-from repro.pipeline.runner import DEFAULT_ABORT_GRACE, MissionResult, MissionRunner
+from repro.pipeline.runner import MissionResult, MissionRunner
 from repro.scenarios import Scenario, resolve_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -82,15 +81,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.checkpoint import CheckpointStats
     from repro.core.results import JsonlResultStore
 
-#: Detector tags a :class:`RunSpec` may carry.  ``gaussian`` and
-#: ``autoencoder`` are reconstructible in worker processes from the campaign
-#: configuration (training-environment count, cache directory, planner and
-#: platform); ``custom`` refers to an in-memory detector object supplied by
-#: the caller and therefore only works with the serial executor.
+#: Detector tags a :class:`RunSpec` may carry.  Every executor looks a tag up
+#: in the tag->detector mapping its caller passes: ``gaussian`` and
+#: ``autoencoder`` name a campaign's GAD and AAD, ``custom`` any other
+#: detector object the caller supplies.
 DETECTOR_GAUSSIAN = "gaussian"
 DETECTOR_AUTOENCODER = "autoencoder"
 DETECTOR_CUSTOM = "custom"
-RECONSTRUCTIBLE_DETECTORS = (DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER)
 
 #: Streaming callback type: invoked once per completed spec (possibly out of
 #: submission order under the parallel executor).
@@ -124,7 +121,7 @@ class RunSpec:
         """The scenario this spec flies under (spec override, else campaign)."""
         scenario = self.scenario
         if scenario is None:
-            scenario = getattr(self.config, "scenario", None)
+            scenario = self.config.scenario
         return resolve_scenario(scenario)
 
     def key(self) -> str:
@@ -187,7 +184,7 @@ class RunSpec:
             str(platform),
             round(float(cfg.mission_time_limit), 9),
             round(float(cfg.time_step), 9),
-            round(float(getattr(cfg, "abort_grace", DEFAULT_ABORT_GRACE)), 9),
+            round(float(cfg.abort_grace), 9),
         )
 
     def _canonical(self) -> Tuple:
@@ -206,57 +203,19 @@ class RunSpec:
 
 
 # --------------------------------------------------------------- spec running
-#: Per-process cache of reconstructed detectors, keyed by the training
-#: parameters that determine them.  Worker processes fill this lazily on the
-#: first spec that needs a detector and reuse it for the rest of the campaign.
-_PROCESS_DETECTORS: Dict[Tuple, object] = {}
-
-
-def _reconstruct_detector(spec: RunSpec) -> object:
-    """Train (or load cached) the detector named by ``spec.detector``.
-
-    Training is fully seeded, so independently reconstructing a detector in
-    every worker yields the same detector the parent process would train; when
-    the campaign configuration names a ``detector_cache_dir`` the workers load
-    the cached detectors instead of retraining.
-    """
-    from repro.detection.training import train_detectors
-
-    cfg = spec.config
-    base_key = (
-        int(cfg.training_environments),
-        str(cfg.detector_cache_dir) if cfg.detector_cache_dir else "",
-        cfg.planner_name,
-        str(getattr(cfg.platform, "name", cfg.platform)),
-    )
-    cache_key = (spec.detector, *base_key)
-    if cache_key not in _PROCESS_DETECTORS:
-        training = train_detectors(
-            num_environments=cfg.training_environments,
-            cache_dir=cfg.detector_cache_dir,
-            planner_name=cfg.planner_name,
-            platform=cfg.platform,
-        )
-        # One training session yields both detectors; cache both so a mixed
-        # D&R campaign trains at most once per worker process.
-        _PROCESS_DETECTORS[(DETECTOR_GAUSSIAN, *base_key)] = training.gad
-        _PROCESS_DETECTORS[(DETECTOR_AUTOENCODER, *base_key)] = training.aad
-    return _PROCESS_DETECTORS[cache_key]
-
-
 def _resolve_detector(
     spec: RunSpec, detectors: Optional[Mapping[str, object]]
 ) -> Optional[object]:
+    """The caller's detector object for ``spec``'s tag; ``None`` without a tag."""
     if spec.detector is None:
         return None
-    if detectors is not None and detectors.get(spec.detector) is not None:
-        return detectors[spec.detector]
-    if spec.detector in RECONSTRUCTIBLE_DETECTORS:
-        return _reconstruct_detector(spec)
-    raise ValueError(
-        f"detector tag {spec.detector!r} cannot be reconstructed in a worker "
-        f"process; pass the detector object via the serial executor instead"
-    )
+    detector = None if detectors is None else detectors.get(spec.detector)
+    if detector is None:
+        raise ValueError(
+            f"no detector object for tag {spec.detector!r}; pass it in the "
+            f"executor's detectors mapping"
+        )
+    return detector
 
 
 def pipeline_config_for(spec: RunSpec) -> PipelineConfig:
@@ -291,10 +250,6 @@ def fork_detector(detector: object) -> object:
     return copy.deepcopy(detector)
 
 
-def _abort_grace(cfg: "CampaignConfig") -> float:
-    return float(getattr(cfg, "abort_grace", DEFAULT_ABORT_GRACE))
-
-
 def _execute_spec_scratch(spec: RunSpec, detector: Optional[object]) -> MissionResult:
     """Fly ``spec`` from scratch (build, launch, step to termination)."""
     from repro.detection.node import attach_detection
@@ -307,9 +262,7 @@ def _execute_spec_scratch(spec: RunSpec, detector: Optional[object]) -> MissionR
     if spec.fault_plan is not None:
         injector = FaultInjectorNode(spec.fault_plan, handles.kernels)
         handles.graph.add_node(injector)
-    runner = MissionRunner(
-        handles, time_step=cfg.time_step, abort_grace=_abort_grace(cfg)
-    )
+    runner = MissionRunner(handles, time_step=cfg.time_step, abort_grace=cfg.abort_grace)
     result = runner.run(
         setting=spec.setting,
         seed=spec.seed,
@@ -325,11 +278,10 @@ def execute_spec(
 ) -> MissionResult:
     """Fly the mission described by ``spec`` and return its result.
 
-    ``detectors`` optionally maps detector tags to live detector objects (the
-    serial path); without it, reconstructible tags are trained or loaded in
-    this process.  Each run gets its own detector state via
-    :func:`fork_detector`, so one run's detector state never leaks into the
-    next.
+    ``detectors`` maps detector tags to live detector objects; a spec whose
+    tag it lacks raises :class:`ValueError`.  Each run gets its own detector
+    state via :func:`fork_detector`, so one run's detector state never leaks
+    into the next.
 
     Specs are served from the golden-prefix checkpoint engine when possible
     (:mod:`repro.core.checkpoint`): fault-free prefixes are flown once per
@@ -373,19 +325,17 @@ GroupTask = Tuple[List[Tuple[int, "RunSpec"]], Dict[str, int]]
 
 def _pool_worker(
     conn: Connection,
-    detectors: Mapping[Tuple, object],
+    detectors: Mapping[str, object],
     policy: ResiliencePolicy,
     schedule: Optional[ChaosSchedule],
 ) -> None:
     """Pool process entry: fly the prefix groups the parent sends over ``conn``.
 
-    ``detectors`` holds :data:`_PROCESS_DETECTORS` entries the parent
-    reconstructed, keyed the same way, so this process's specs find them
-    instead of training again: a ``fork`` worker inherits the mapping at no
-    cost, a ``spawn`` worker unpickles it once.  Everything else -- the
-    generated worlds and each group's golden-prefix cursor -- the worker
-    builds on first use, because rebuilding a cursor costs less than
-    pickling one.
+    ``detectors`` maps the batch's detector tags to the caller's objects: a
+    ``fork`` worker inherits the mapping at no cost, a ``spawn`` worker
+    unpickles it once.  Everything else -- the generated worlds and each
+    group's golden-prefix cursor -- the worker builds on first use, because
+    rebuilding a cursor costs less than pickling one.
 
     Every spec goes through :func:`~repro.core.resilience.guarded_execute`,
     and the worker reports as it goes: ``("start",)`` before each spec, one
@@ -397,8 +347,6 @@ def _pool_worker(
     exits.
     """
     from repro.core import checkpoint
-
-    _PROCESS_DETECTORS.update(detectors)
 
     def report(record: FailureRecord) -> None:
         conn.send(("failure", record))
@@ -413,7 +361,7 @@ def _pool_worker(
             conn.send(("start",))
             try:
                 status, result, _ = guarded_execute(
-                    spec, None, policy, schedule, bases.get(spec.key(), 0), report,
+                    spec, detectors, policy, schedule, bases.get(spec.key(), 0), report,
                     in_worker=True,
                 )
             except Exception as exc:
@@ -686,15 +634,13 @@ class ParallelExecutor:
     clamp leaves one worker, the batch runs serially in-process -- parallel
     dispatch never loses to serial by oversubscribing cores.
 
-    Every start method warms workers the same way.  The parent reconstructs
-    the detectors the batch names -- training is the one warm-up that costs
-    seconds -- and hands them to every worker process it starts, so ``fork``
-    workers inherit them and ``spawn`` workers unpickle them once.  Each
-    worker then generates its own worlds and builds each group's
-    golden-prefix cursor on first use, which costs less than shipping a
-    pickled cursor.  In-memory detector mappings passed to :meth:`map` are
-    deliberately **not** shipped -- only detectors reconstructible from the
-    campaign configuration are.
+    Every start method warms workers the same way.  The parent hands every
+    worker process it starts the caller's objects for the detector tags the
+    batch names, so ``fork`` workers inherit them and ``spawn`` workers
+    unpickle them once; a pooled run flies the very detectors a serial run
+    would.  Each worker then generates its own worlds and builds each
+    group's golden-prefix cursor on first use, which costs less than
+    shipping a pickled cursor.
 
     After each :meth:`map`, ``last_effective_workers`` holds the worker count
     actually used and ``last_checkpoint_stats`` the fleet-wide aggregated
@@ -738,22 +684,6 @@ class ParallelExecutor:
             workers = min(workers, os.cpu_count() or 1)
         return workers
 
-    @staticmethod
-    def _warm_detectors(specs: Sequence[RunSpec]) -> Dict[Tuple, object]:
-        """Reconstruct the detectors ``specs`` name; every worker receives them.
-
-        Returns the :data:`_PROCESS_DETECTORS` entries those specs resolve
-        to.  Empty, with nothing trained, when ``REPRO_NO_CACHE`` is set.
-        """
-        if not construction_caches_enabled():
-            return {}
-        named = {
-            id(_reconstruct_detector(spec))
-            for spec in specs
-            if spec.detector in RECONSTRUCTIBLE_DETECTORS
-        }
-        return {key: obj for key, obj in _PROCESS_DETECTORS.items() if id(obj) in named}
-
     def map(
         self,
         specs: Iterable[RunSpec],
@@ -766,6 +696,9 @@ class ParallelExecutor:
 
         ``on_result`` fires as results arrive (completion order); the returned
         list is always in submission order, bit-identical to the serial path.
+        ``detectors`` must hold an object for every detector tag ``specs``
+        name; a missing one raises :class:`ValueError` before any worker
+        starts.
 
         Under the default pass-through ``policy`` the first mission exception
         re-raises unchanged and a lost worker raises ``BrokenProcessPool``.
@@ -785,20 +718,13 @@ class ParallelExecutor:
         self.last_effective_workers = 0
         self.last_checkpoint_stats = None
         specs = list(specs)
-        unshippable = {
-            spec.detector
+        # Fail on a missing detector before any mission flies, not in every
+        # worker; the workers receive exactly these objects.
+        batch_detectors = {
+            spec.detector: _resolve_detector(spec, detectors)
             for spec in specs
             if spec.detector is not None
-            and spec.detector not in RECONSTRUCTIBLE_DETECTORS
         }
-        if unshippable:
-            # Fail before any mission flies: in-memory detector objects are
-            # never shipped to workers, so these specs would crash mid-pool.
-            raise ValueError(
-                f"detector tags {sorted(unshippable)} reference in-memory "
-                f"objects that cannot be reconstructed in worker processes; "
-                f"use the serial executor for custom detectors"
-            )
         # Scenario names resolve through the parent's registry; workers may
         # not have custom registrations, so ship resolved Scenario objects.
         specs = [materialize_scenario(spec) for spec in specs]
@@ -815,11 +741,11 @@ class ParallelExecutor:
             order = sorted(range(len(specs)), key=lambda i: cache_order_key(specs[i]))
             _run_in_process(
                 ((pos, specs[pos], 0) for pos in order),
-                results, detectors, policy, on_result, on_failure, {},
+                results, batch_detectors, policy, on_result, on_failure, {},
             )
         else:
             self._pool_map(
-                specs, groups, workers, results, stats, policy, on_result, on_failure
+                groups, workers, results, stats, batch_detectors, policy, on_result, on_failure
             )
         # Fold in what the parent itself flew (the one-worker fallback, the
         # degraded tail), so duplicate accounting spans the whole fleet.
@@ -829,28 +755,29 @@ class ParallelExecutor:
 
     def _pool_map(
         self,
-        specs: Sequence[RunSpec],
         groups: Sequence[Sequence[Tuple[int, RunSpec]]],
         workers: int,
         results: List[Optional[MissionResult]],
         stats: "CheckpointStats",
+        detectors: Mapping[str, object],
         policy: ResiliencePolicy,
         on_result: Optional[ResultCallback],
         on_failure: Optional[FailureCallback],
     ) -> None:
         """The pool loop, with the capture/retry/quarantine/degrade ladder.
 
-        ``workers`` processes fly one prefix group at a time, costliest
-        first, and stream per-spec progress (:func:`_pool_worker`); results
-        land in ``results`` and each group's stats delta merges into
-        ``stats``.  A worker that dies crashed on its in-flight spec's next
-        attempt.  One whose spec outlives ``policy.task_timeout``, armed per
-        spec, is killed, and the spec earns a hang strike.  Either way the
-        parent writes that record itself, requeues the rest of the group as
-        one task and replaces only that worker; the others keep flying.
-        Once ``max_pool_respawns`` replacements are used up, the surviving
-        workers finish their groups and the remaining work flies in the
-        in-process loop (chaos faults are simulated there, so a chaos-ridden
+        ``workers`` processes, started with ``detectors``, fly one prefix
+        group at a time, costliest first, and stream per-spec progress
+        (:func:`_pool_worker`); results land in ``results`` and each group's
+        stats delta merges into ``stats``.  A worker that dies crashed on its
+        in-flight spec's next attempt.  One whose spec outlives
+        ``policy.task_timeout``, armed per spec, is killed, and the spec
+        earns a hang strike.  Either way the parent writes that record
+        itself, requeues the rest of the group as one task and replaces only
+        that worker; the others keep flying.  Once ``max_pool_respawns``
+        replacements are used up, the surviving workers finish their groups
+        and the remaining work flies in the in-process loop, with the same
+        ``detectors`` (chaos faults are simulated there, so a chaos-ridden
         campaign always ends; a *genuine* hang in that tail would stall the
         parent).  Under a pass-through policy a worker's exception
         re-raises, and a lost worker raises ``BrokenProcessPool``.
@@ -860,7 +787,7 @@ class ParallelExecutor:
         import time  # harness watchdog only; sim time stays on the middleware clock
 
         ctx = multiprocessing.get_context(self.start_method)
-        payload = (self._warm_detectors(specs), policy, policy.chaos())
+        payload = (detectors, policy, policy.chaos())
         emit = on_failure or _drop_failure
         pending: Deque[GroupTask] = deque((list(group), {}) for group in groups)
         strikes: Dict[str, int] = {}
@@ -980,7 +907,7 @@ class ParallelExecutor:
                 for rest, bases in pending
                 for pos, spec in rest
             ),
-            results, None, policy, on_result, emit, strikes,
+            results, detectors, policy, on_result, emit, strikes,
         )
 
 

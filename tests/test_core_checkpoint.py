@@ -24,6 +24,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.executor import (
     DETECTOR_AUTOENCODER,
+    DETECTOR_CUSTOM,
     DETECTOR_GAUSSIAN,
     ParallelExecutor,
     RunSpec,
@@ -129,6 +130,22 @@ class TestForkBitIdentity:
             reference = _scratch(spec, detectors, monkeypatch=monkeypatch)
             forked = execute_spec(spec, detectors)
             assert mission_result_to_dict(forked) == mission_result_to_dict(reference)
+
+    def test_custom_detector_specs_fork(self, monkeypatch, trained_gad):
+        """A caller's own detector object flies from a fork like GAD and AAD."""
+        detectors = {DETECTOR_CUSTOM: trained_gad}
+        plan = FaultPlan(target_type="stage", target="planning", injection_time=5.0, seed=3)
+        spec = RunSpec(
+            config=_config(),
+            setting="dr_custom",
+            seed=0,
+            fault_plan=plan,
+            detector=DETECTOR_CUSTOM,
+        )
+        reference = _scratch(spec, detectors, monkeypatch=monkeypatch)
+        forked = execute_spec(spec, detectors)
+        assert checkpoint.checkpoint_stats().forks == 1
+        assert mission_result_to_dict(forked) == mission_result_to_dict(reference)
 
     def test_very_early_fault_falls_back_to_scratch(self, monkeypatch):
         config = _config()

@@ -302,36 +302,88 @@ class TestDetectorResolution:
         assert len(records) == 1
         assert records[0].detection_checked_samples > 0
 
-    def test_parallel_rejects_custom_detector_before_flying(self, trained_gad):
-        campaign = _fast_campaign(num_golden=1)
-        with pytest.raises(ValueError, match="worker processes"):
-            campaign.run_stage_injections(
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_custom_detector_object_flies_in_the_pool(self, trained_gad, start_method):
+        """A caller's own detector object reaches every pool worker, and the
+        pooled records equal the serial ones."""
+        campaign = _fast_campaign(num_golden=2)
+
+        def fly(executor):
+            return campaign.run_stage_injections(
                 RunSetting.DR_GAUSSIAN,
                 detector=trained_gad,
-                count_per_stage=1,
+                count_per_stage=2,
                 stages=("planning",),
-                executor=ParallelExecutor(workers=2),
+                executor=executor,
             )
 
-    def test_parallel_rejects_uncached_inmemory_detectors(self, trained_gad):
-        """In-memory gad/aad without a cache dir cannot go distributed."""
-        campaign = Campaign(
-            CampaignConfig(environment="farm", num_golden=1, mission_time_limit=60.0),
-            gad=trained_gad,
+        serial = fly(SerialExecutor())
+        executor = ParallelExecutor(
+            workers=2, oversubscribe=True, start_method=start_method
         )
+        parallel = fly(executor)
+        assert executor.last_effective_workers == 2
+        assert len({record.seed for record in serial}) == 2  # two prefix groups
+        assert all(record.detection_checked_samples > 0 for record in serial)
+        assert len(parallel) == len(serial)
+        for left, right in zip(serial, parallel):
+            assert mission_results_equal(left, right)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pool_flies_the_campaigns_own_detectors(self, tmp_path, trained_gad, cached):
+        """A campaign holding a GAD trained elsewhere flies that very GAD in
+        the pool, with or without a detector cache, as it does serially."""
+        config = CampaignConfig(
+            environment="farm",
+            num_golden=2,
+            num_injections_per_stage=2,
+            mission_time_limit=60.0,
+            training_environments=1,
+            detector_cache_dir=tmp_path if cached else None,
+        )
+        campaign = Campaign(config, gad=trained_gad)
         specs = campaign.stage_injection_specs(
             RunSetting.DR_GAUSSIAN, detector=DETECTOR_GAUSSIAN, stages=("planning",)
         )
-        with pytest.raises(ValueError, match="detector_cache_dir"):
-            campaign.run_specs(specs, executor=ParallelExecutor(workers=2))
+        assert len({spec.prefix_key() for spec in specs}) == 2
+        serial = campaign.run_specs(specs, executor=SerialExecutor())
+        executor = ParallelExecutor(workers=2, oversubscribe=True)
+        parallel = campaign.run_specs(specs, executor=executor)
+        assert campaign.gad is trained_gad
+        assert executor.last_effective_workers == 2
+        assert len(parallel) == len(serial)
+        for left, right in zip(serial, parallel):
+            assert mission_results_equal(left, right)
+
+    @pytest.mark.parametrize("detectors", [None, {}])
+    def test_missing_detector_raises_before_any_worker_starts(self, monkeypatch, detectors):
+        """A tag with no object is the caller's error: no executor trains one."""
+        from repro.core import executor as executor_module
+        from repro.detection import training
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("detectors must come from the caller")
+
+        monkeypatch.setattr(training, "train_detectors", refuse)
+        monkeypatch.setattr(executor_module, "_PoolWorker", refuse)
+        campaign = _fast_campaign(num_golden=2, num_injections_per_stage=2)
+        specs = campaign.stage_injection_specs(
+            RunSetting.DR_GAUSSIAN, detector=DETECTOR_GAUSSIAN, stages=("planning",)
+        )
+        executor = ParallelExecutor(workers=2, oversubscribe=True)
+        with pytest.raises(ValueError, match="gaussian"):
+            executor.map(specs, detectors=detectors)
+        assert executor.last_effective_workers == 0
+        with pytest.raises(ValueError, match="gaussian"):
+            execute_spec(specs[0], detectors)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_dr_equivalence_with_cached_detectors(self, tmp_path, start_method):
         """Serial and pool D&R runs agree when detectors come from a cache.
 
         Two prefix groups start a real two-worker pool; under ``spawn`` the
-        parent's detectors reach the workers pickled, through the pool
-        initializer.
+        parent's detectors reach the workers pickled, as their start-up
+        payload.
         """
         config = CampaignConfig(
             environment="farm",
@@ -483,7 +535,7 @@ class TestCampaignThroughEngine:
             ):
                 assert mission_results_equal(left, right)
 
-    def test_run_all_is_full_evaluation(self, tmp_path):
+    def test_full_evaluation_flies_every_setting(self, tmp_path):
         config = CampaignConfig(
             environment="farm",
             num_golden=1,
@@ -492,7 +544,7 @@ class TestCampaignThroughEngine:
             training_environments=2,
             detector_cache_dir=tmp_path,
         )
-        result = Campaign(config).run_all()
+        result = Campaign(config).full_evaluation()
         assert set(result.settings()) == set(RunSetting.ALL)
 
     def test_kernel_and_state_grouping_preserved(self):

@@ -595,7 +595,7 @@ class TestExecutorTelemetry:
         executor.map(specs[:2])
         assert executor.last_checkpoint_stats is not None
         assert executor.last_effective_workers == 1
-        # A later misuse (unshippable custom detector) must not leave the
+        # A later misuse (a detector tag with no object) must not leave the
         # previous map()'s telemetry dangling.
         bad = RunSpec(
             config=campaign.config, setting="dr", seed=0,
