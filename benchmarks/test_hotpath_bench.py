@@ -51,10 +51,6 @@ def test_smoke_bench_writes_valid_report(tmp_path):
             f"{name} did not beat its scalar reference: {entry['speedup']:.2f}x"
         )
     assert kernels["occupancy_integration"]["speedup"] > 1.5
-    # The profiled mission must have exercised the perception kernels.
-    per_kernel = loaded["pipeline"]["per_kernel"]
-    for kernel in ("point_cloud_generation", "octomap_generation", "collision_check"):
-        assert per_kernel[kernel]["calls"] > 0
     print_artifact("Hot-path bench: smoke workload", format_bench_table(report))
 
 

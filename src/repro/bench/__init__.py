@@ -1,9 +1,8 @@
-"""Benchmark/profiling subsystem: ``python -m repro bench``.
+"""Benchmark subsystem: ``python -m repro bench``.
 
 Times the vectorized hot-path kernels against their scalar references on a
-fixed seeded workload, profiles a real mission with the kernel profiler, and
-writes the ``BENCH_hotpath.json`` perf-trajectory artifact.  See
-``docs/BENCHMARKS.md`` for the schema and workflow.
+fixed seeded workload and writes the ``BENCH_hotpath.json`` perf-trajectory
+artifact.  See ``docs/BENCHMARKS.md`` for the schema and workflow.
 """
 
 from repro.bench.campaign import (

@@ -162,20 +162,6 @@ REPORT_SHAPE = shape.Obj(
         ),
         nonempty=True,
     ),
-    pipeline=shape.Obj(
-        environment=shape.NAME,
-        seed=shape.INT,
-        mission_success=shape.BOOL,
-        mission_flight_time_s=shape.NON_NEGATIVE,
-        mission_wall_s=shape.POSITIVE,
-        per_kernel=shape.MapOf(
-            shape.Obj(
-                wall_ms=shape.NON_NEGATIVE,
-                calls=shape.COUNT,
-                ms_per_call=shape.NON_NEGATIVE,
-            )
-        ),
-    ),
 )
 
 

@@ -3,11 +3,11 @@
 ``python -m repro bench`` runs this module.  It times every vectorized
 hot-path kernel against its scalar (point-by-point) reference on the fixed
 seeded workload of :mod:`repro.bench.workloads` -- motion planning and depth
-ray casting on its reference corpus recorded from golden missions -- profiles
-one real closed-loop mission with the
-:class:`~repro.pipeline.kernel.KernelProfiler` active, and writes the combined
-perf-trajectory artifact ``BENCH_hotpath.json`` (schema ``repro-bench-v1``,
-enforced by :func:`repro.bench.harness.validate_report`).
+ray casting on its reference corpus recorded from golden missions -- and
+writes the perf-trajectory artifact ``BENCH_hotpath.json`` (schema
+``repro-bench-v1``, enforced by :func:`repro.bench.harness.validate_report`).
+Per-layer wall time of whole campaigns comes from ``perfbench/run.py --trace
+1`` instead.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.core import knobs
 from repro.perception.collision_check import CollisionChecker
 from repro.perception.occupancy import OccupancyMap
 from repro.perception.point_cloud import PointCloudGenerator
-from repro.pipeline.kernel import profiled_kernels
 
 
 def _bench_occupancy(workload: HotpathWorkload, repeats: int) -> Dict:
@@ -144,31 +143,6 @@ def _bench_depth_raycast(corpus: ReferenceCorpus, repeats: int) -> Dict:
     )
 
 
-def _profile_pipeline(smoke: bool) -> Dict:
-    """Fly one real closed-loop mission with the kernel profiler active."""
-    from repro.pipeline.builder import PipelineConfig, build_pipeline
-    from repro.pipeline.runner import MissionRunner
-
-    config = PipelineConfig(
-        environment="sparse",
-        seed=0,
-        mission_time_limit=30.0 if smoke else 120.0,
-    )
-    start = time.perf_counter()
-    with profiled_kernels() as profiler:
-        handles = build_pipeline(config)
-        result = MissionRunner(handles).run(setting="bench", seed=0)
-    wall_s = time.perf_counter() - start
-    return {
-        "environment": "sparse",
-        "seed": 0,
-        "mission_success": bool(result.success),
-        "mission_flight_time_s": float(result.flight_time),
-        "mission_wall_s": wall_s,
-        "per_kernel": profiler.snapshot(),
-    }
-
-
 def run_bench(
     smoke: bool = False,
     repeats: Optional[int] = None,
@@ -196,7 +170,6 @@ def run_bench(
         "workload": workload.description,
         "repeats": repeats,
         "kernels": kernels,
-        "pipeline": _profile_pipeline(smoke=smoke),
     }
     path = Path(out) if out is not None else Path.cwd() / DEFAULT_REPORT_NAME
     write_report(report, path)
@@ -220,23 +193,8 @@ def format_bench_table(report: Dict) -> str:
                 f"{vector['runs_per_sec']:.1f}",
             ]
         )
-    table = format_table(
+    return format_table(
         ["Kernel", "Vector [ms]", "Scalar [ms]", "Speedup", "Runs/s"],
         rows,
         title="Hot-path kernels (best of repeats, whole-workload runs)",
     )
-    pipeline = report.get("pipeline", {})
-    per_kernel = pipeline.get("per_kernel", {})
-    if per_kernel:
-        prof_rows = [
-            [name, f"{stats['wall_ms']:.1f}", int(stats["calls"]), f"{stats['ms_per_call']:.3f}"]
-            for name, stats in per_kernel.items()
-        ]
-        table += "\n" + format_table(
-            ["Pipeline kernel", "Wall [ms]", "Calls", "ms/call"],
-            prof_rows,
-            # No wall-clock in the title: the rendered table doubles as a
-            # committed reference artifact, which must not churn per run.
-            title="Profiled mission (sparse, seed 0)",
-        )
-    return table

@@ -14,8 +14,9 @@ The CLI drives the campaign execution engine from the shell::
     # schema-validated JSON artifact
     python -m repro report --results shard0.jsonl shard1.jsonl --out report.json
 
-Campaign run counts scale with ``MAVFI_RUNS`` (or ``--runs``); worker counts
-come from ``--workers`` or ``MAVFI_WORKERS`` (0 means one worker per CPU).
+Campaign run counts scale with ``MAVFI_RUNS``, and a sweep's failure capture
+and retry follow the ``REPRO_*`` resilience knobs; worker counts come from
+``--workers`` or ``MAVFI_WORKERS`` (0 means one worker per CPU).
 Re-running a campaign with the same parameters and ``--out`` file skips every
 mission whose deterministic spec key is already in the file, so interrupted
 campaigns pick up where they left off.
@@ -73,7 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Generate the campaign's run specs and dispatch them through the "
             "execution engine, optionally in parallel and/or streamed to a "
-            "resumable JSONL result file."
+            "resumable JSONL result file.  In a sweep, harness failures "
+            "become structured records in the store; attempts, the pool "
+            "watchdog and quarantine follow the REPRO_MAX_ATTEMPTS / "
+            "REPRO_TASK_TIMEOUT / REPRO_QUARANTINE_STRIKES / "
+            "REPRO_POOL_RESPAWNS knobs.  MAVFI_RUNS scales the run counts."
         ),
     )
     campaign.add_argument(
@@ -137,11 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--time-limit", type=float, default=120.0, help="mission time limit [s]"
     )
     campaign.add_argument(
-        "--runs",
-        default=None,
-        help="run-count scale factor (sets MAVFI_RUNS for this campaign)",
-    )
-    campaign.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -155,41 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--quiet", action="store_true", help="suppress per-run progress output"
-    )
-    resilience = campaign.add_argument_group(
-        "resilience",
-        description=(
-            "Failure capture, bounded retry, wall-clock watchdog and "
-            "quarantine.  Harness failures become structured records in the "
-            "JSONL store instead of crashing the campaign; retried specs are "
-            "bit-identical to an unfailed run.  Flags override the "
-            "REPRO_MAX_ATTEMPTS / REPRO_TASK_TIMEOUT / "
-            "REPRO_QUARANTINE_STRIKES / REPRO_POOL_RESPAWNS knobs."
-        ),
-    )
-    resilience.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help=(
-            "attempts per spec before it is recorded as failed "
-            f"(default {ResiliencePolicy.max_attempts})"
-        ),
-    )
-    resilience.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="per-spec wall-clock watchdog in seconds for pool workers (default: off)",
-    )
-    resilience.add_argument(
-        "--quarantine-strikes",
-        type=int,
-        default=None,
-        help=(
-            "hang/timeout strikes before a spec is quarantined "
-            f"(default {ResiliencePolicy.quarantine_strikes})"
-        ),
     )
     adaptive = campaign.add_argument_group(
         "adaptive search",
@@ -676,10 +641,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{', '.join(misapplied)} appl{'ies' if len(misapplied) == 1 else 'y'} "
             f"to the adaptive driver only; add --adaptive"
         )
-    if args.runs is not None:
-        from repro.core import knobs
-
-        knobs.set_env("MAVFI_RUNS", str(args.runs))
     settings = _settings_list(args.settings)
     # Repeated names sweep once, the first occurrence winning (like settings).
     scenarios = list(
@@ -724,14 +685,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         specs = _campaign_specs(campaign, settings)
     executor = get_executor(args.workers)
     store = JsonlResultStore(args.out) if args.out is not None else None
-
-    # The resilience flags are named after the policy fields they override.
-    overrides = {
-        name: getattr(args, name)
-        for name in ("max_attempts", "task_timeout", "quarantine_strikes")
-        if getattr(args, name) is not None
-    }
-    policy = replace(ResiliencePolicy.from_knobs(), **overrides)
+    policy = ResiliencePolicy.from_knobs()
     failures: List = []
 
     already = 0

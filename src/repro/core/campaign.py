@@ -61,13 +61,6 @@ class RunSetting:
 RunRecord = MissionResult
 
 
-#: Cache of the last parsed ``MAVFI_RUNS`` value, keyed by the raw string, so
-#: every call site sees one consistent parse per environment value instead of
-#: re-parsing (and potentially re-erroring) on each of the thousands of
-#: ``scaled_count`` calls of a large campaign.
-_RUNS_SCALE_CACHE: List[Optional[Tuple[Optional[str], float]]] = [None]
-
-
 def runs_scale() -> float:
     """Global scale factor for campaign run counts (``MAVFI_RUNS`` env var).
 
@@ -77,17 +70,10 @@ def runs_scale() -> float:
     a :class:`ValueError` (they used to be silently clamped or defaulted);
     values below the 0.01 floor are raised to it so a tiny scale still yields
     at least one run per cell.  Parsing and validation live with the knob
-    declaration in :mod:`repro.core.knobs`; this wrapper only adds the
-    per-raw-value cache.
+    declaration in :mod:`repro.core.knobs`.
     """
-    raw = knobs.raw("MAVFI_RUNS")
-    cached = _RUNS_SCALE_CACHE[0]
-    if cached is not None and cached[0] == raw:
-        return cached[1]
     parsed = knobs.value("MAVFI_RUNS")
-    value = 1.0 if parsed is None else float(parsed)
-    _RUNS_SCALE_CACHE[0] = (raw, value)
-    return value
+    return 1.0 if parsed is None else float(parsed)
 
 
 def scaled_count(base: int) -> int:
@@ -211,6 +197,12 @@ class Campaign:
         if self.aad is None:
             self.aad = training.aad
 
+    def _train_missing_detectors(self, tags: Iterable[Optional[str]]) -> None:
+        """:meth:`ensure_detectors` when a tag in ``tags`` has no detector object yet."""
+        missing = {DETECTOR_GAUSSIAN: self.gad is None, DETECTOR_AUTOENCODER: self.aad is None}
+        if any(missing.get(tag, False) for tag in tags):
+            self.ensure_detectors()
+
     def _mission_seed_pool(self) -> List[int]:
         """Pool of mission seeds shared by every setting of the campaign.
 
@@ -236,8 +228,7 @@ class Campaign:
     ) -> RunRecord:
         """Run one mission with the given fault plan and detector."""
         tag, custom = self._detector_tag(detector)
-        if tag in (DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER):
-            self.ensure_detectors()
+        self._train_missing_detectors([tag])
         spec = RunSpec(
             config=self.config,
             setting=setting,
@@ -302,7 +293,7 @@ class Campaign:
         skipped (resume).
 
         Every executor flies this campaign's ``gad``/``aad`` -- trained or
-        loaded once here when a pending spec names them -- and
+        loaded once here when a pending spec names one that is missing -- and
         ``extra_detectors``; a process pool ships those objects to its
         workers, so pooled and serial records match.
 
@@ -325,8 +316,7 @@ class Campaign:
             pending = [spec for spec in specs if spec.key() not in known]
         else:
             pending = specs
-        if any(spec.detector in (DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER) for spec in pending):
-            self.ensure_detectors()
+        self._train_missing_detectors(spec.detector for spec in pending)
         return execute_specs(
             specs,
             executor=executor,

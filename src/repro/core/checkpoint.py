@@ -31,9 +31,8 @@ true:
   deep-copy memo -- everything mutable is copied.
 
 ``REPRO_NO_CHECKPOINT=1`` disables forking entirely (every spec runs from
-scratch); ``REPRO_CHECKPOINT_VERIFY=1`` runs every forked spec from scratch as
-well and raises :class:`CheckpointDivergenceError` on any mismatch -- the
-belt-and-braces mode used by the bit-identity gates in tests and CI.
+scratch): the reference the bit-identity gates in tests and CI compare forked
+records against.
 """
 
 from __future__ import annotations
@@ -43,8 +42,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.core import knobs
 from repro.core.injector import FaultInjectorNode
-from repro.pipeline.builder import build_pipeline, env_flag
+from repro.pipeline.builder import build_pipeline
 from repro.pipeline.runner import MissionRunner
 from repro.sim.memo import reset_memos
 
@@ -56,22 +56,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Environment variable disabling golden-prefix checkpointing (escape hatch).
 NO_CHECKPOINT_ENV = "REPRO_NO_CHECKPOINT"
 
-#: Environment variable enabling the per-spec fork-vs-scratch verification.
-CHECKPOINT_VERIFY_ENV = "REPRO_CHECKPOINT_VERIFY"
-
 
 class CheckpointDivergenceError(AssertionError):
-    """A forked run diverged from its from-scratch reference (verify mode)."""
+    """A checkpointed or cached run diverged from its from-scratch reference."""
 
 
 def checkpointing_enabled() -> bool:
     """Whether golden-prefix checkpointing is active (the default)."""
-    return not env_flag(NO_CHECKPOINT_ENV)
-
-
-def verification_enabled() -> bool:
-    """Whether every forked run is cross-checked against a scratch run."""
-    return env_flag(CHECKPOINT_VERIFY_ENV)
+    return not knobs.flag(NO_CHECKPOINT_ENV)
 
 
 def supports_spec(spec: "RunSpec") -> bool:

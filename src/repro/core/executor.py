@@ -286,9 +286,7 @@ def execute_spec(
     Specs are served from the golden-prefix checkpoint engine when possible
     (:mod:`repro.core.checkpoint`): fault-free prefixes are flown once per
     (config, seed, scenario, detector) identity and injection runs fork from
-    the snapshot.  ``REPRO_NO_CHECKPOINT=1`` forces every spec from scratch;
-    ``REPRO_CHECKPOINT_VERIFY=1`` additionally cross-checks every forked
-    result against a scratch run and raises on divergence.
+    the snapshot.  ``REPRO_NO_CHECKPOINT=1`` forces every spec from scratch.
     """
     from repro.core import checkpoint
 
@@ -296,23 +294,12 @@ def execute_spec(
     result = None
     if checkpoint.checkpointing_enabled() and checkpoint.supports_spec(spec):
         result = checkpoint.manager().run_spec(spec, detector)
-        if result is not None and checkpoint.verification_enabled():
-            from repro.core.results import mission_results_equal
-
-            scratch = _execute_spec_scratch(spec, detector)
-            if not mission_results_equal(result, scratch):
-                raise checkpoint.CheckpointDivergenceError(
-                    f"checkpoint fork diverged from scratch execution for "
-                    f"spec {spec.key()} ({spec.setting}, seed {spec.seed}, "
-                    f"fault {spec.fault_plan})"
-                )
     if result is None:
         result = _execute_spec_scratch(spec, detector)
     if spec.fault_plan is not None:
         # Stamp the fault activation time so the time-to-detect analysis can
         # compare it against the result's first_alarm_time without needing
-        # the spec (stamped here, after the verify cross-check, so both
-        # execution paths produce identical pre-stamp results).
+        # the spec.
         result.injection_time = float(spec.fault_plan.injection_time)
     return result
 

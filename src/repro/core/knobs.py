@@ -185,17 +185,6 @@ NO_CHECKPOINT = _register(Knob(
     parse=_parse_flag,
 ))
 
-CHECKPOINT_VERIFY = _register(Knob(
-    name="REPRO_CHECKPOINT_VERIFY",
-    kind="flag",
-    description=(
-        "Cross-check every forked run against a from-scratch reference and "
-        "raise CheckpointDivergenceError on any mismatch (slow; debugging)."
-    ),
-    default="verification off",
-    parse=_parse_flag,
-))
-
 BENCH_RESULTS_DIR = _register(Knob(
     name="REPRO_BENCH_RESULTS_DIR",
     kind="path",

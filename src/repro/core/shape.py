@@ -180,7 +180,6 @@ MAYBE_FINITE = Nullable(FINITE)
 INT = Num(integer=True)
 COUNT = Num(0, integer=True)
 POSITIVE_INT = Num(1, integer=True)
-NON_NEGATIVE = Num(0)
 POSITIVE = Num(0, exclusive=True)
 FRACTION = Num(0, 1)
 PROBABILITY = Num(0, 1, exclusive=True)

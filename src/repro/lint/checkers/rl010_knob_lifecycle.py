@@ -15,8 +15,9 @@ Read sites are matched through string literals *and* module-level string
 constants (``knobs.flag(OVERSUBSCRIBE_ENV)`` resolves), so routing a knob
 name through a constant does not hide it.  One level of wrapper
 indirection is also resolved: a function that forwards one of its own
-parameters into a knobs-API read (``pipeline.builder.env_flag``) is itself
-treated as a read site, so calls like ``env_flag(NO_CACHE_ENV)`` count.
+parameters into a knobs-API read (``def flag_on(name): return
+knobs.flag(name)``) is itself treated as a read site, so calls like
+``flag_on(NO_CACHE_ENV)`` count.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def _wrapper_functions(index: ProjectIndex) -> Dict[str, Tuple[str, str]]:
     """Knob-read forwarders: canonical FQN -> (module, bare name).
 
     A wrapper is any indexed function whose body passes one of its own
-    parameters into a knobs-API read call -- the shape of
-    ``pipeline.builder.env_flag``, which lazily imports the registry to
-    break a layering cycle and would otherwise hide three knobs' reads.
+    parameters into a knobs-API read call, typically one that imports the
+    registry lazily to break a layering cycle; it would otherwise hide the
+    reads of every knob routed through it.
     """
     wrappers: Dict[str, Tuple[str, str]] = {}
     for info in index.modules.values():

@@ -278,8 +278,7 @@ class CollisionCheckNode(KernelNode):
         waypoints = self._latest_trajectory.waypoints if self._latest_trajectory else []
         self.cache_inputs(odometry=odometry, waypoints=waypoints)
         self.charge_invocation()
-        with self.measured():
-            msg = self._compute(odometry, waypoints)
+        msg = self._compute(odometry, waypoints)
         self.publish_output(self._check_pub, msg)
 
     def _do_recompute(self) -> None:

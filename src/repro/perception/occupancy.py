@@ -386,8 +386,7 @@ class OctoMapNode(KernelNode):
         cloud = self._latest_cloud
         self.cache_inputs(cloud=cloud)
         self.charge_invocation()
-        with self.measured():
-            self.map.insert_point_cloud(cloud.points)
+        self.map.insert_point_cloud(cloud.points)
         self._publish_map()
 
     def _publish_map(self) -> None:

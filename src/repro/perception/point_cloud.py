@@ -118,8 +118,7 @@ class PointCloudNode(KernelNode):
     def _on_depth(self, msg: DepthImageMsg) -> None:
         self.cache_inputs(depth=msg)
         self.charge_invocation()
-        with self.measured():
-            cloud = self._compute(msg)
+        cloud = self._compute(msg)
         self.publish_output(self._cloud_pub, cloud)
 
     def _do_recompute(self) -> None:

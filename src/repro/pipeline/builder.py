@@ -45,23 +45,15 @@ from repro.sim.world import World
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 
 
-def env_flag(name: str) -> bool:
-    """Whether the *declared* boolean knob ``name`` is set truthy.
+def construction_caches_enabled() -> bool:
+    """Whether the per-process construction caches are active (the default).
 
-    Thin wrapper over the central knob registry (:mod:`repro.core.knobs`),
-    kept for the engine's historical call sites; the registry owns the
-    truthiness contract (unset, ``0``, ``false`` and ``no`` are falsy,
-    anything else is truthy).  Imported lazily: this module is reached during
+    The knob registry is imported lazily: this module is reached during
     ``repro.core``'s own package initialisation.
     """
     from repro.core import knobs
 
-    return knobs.flag(name)
-
-
-def construction_caches_enabled() -> bool:
-    """Whether the per-process construction caches are active (the default)."""
-    return not env_flag(NO_CACHE_ENV)
+    return not knobs.flag(NO_CACHE_ENV)
 
 
 #: Per-process cache of generated worlds.  Worlds are immutable once built

@@ -17,69 +17,13 @@ node, the three facilities the MAVFI framework needs from every kernel:
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.rosmw.message import Message
 from repro.rosmw.node import Node, Publisher
-
-
-@dataclass
-class KernelProfiler:
-    """Accumulates measured wall-clock time and call counts per kernel.
-
-    Unlike the *modelled* latency accounting (``charge_compute``), which feeds
-    the paper's overhead tables, the profiler records how long the Python
-    implementation of each kernel actually takes on this machine.  It powers
-    the ``python -m repro bench`` perf-trajectory artifacts and costs nothing
-    when inactive: :meth:`KernelNode.measured` is a no-op context manager
-    unless a profiler has been activated.
-    """
-
-    wall_time: Dict[str, float] = field(default_factory=dict)
-    calls: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Fold one measured kernel invocation into the counters."""
-        self.wall_time[name] = self.wall_time.get(name, 0.0) + float(seconds)
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-kernel ``{wall_ms, calls, ms_per_call}`` summary."""
-        return {
-            name: {
-                "wall_ms": self.wall_time[name] * 1e3,
-                "calls": self.calls.get(name, 0),
-                "ms_per_call": self.wall_time[name] * 1e3 / max(self.calls.get(name, 1), 1),
-            }
-            for name in sorted(self.wall_time)
-        }
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.wall_time.clear()
-        self.calls.clear()
-
-
-#: The process-wide active profiler (None = profiling off, the default).
-_active_profiler: Optional[KernelProfiler] = None
-
-
-@contextmanager
-def profiled_kernels() -> Iterator[KernelProfiler]:
-    """Activate a fresh profiler for the duration of the ``with`` block."""
-    global _active_profiler
-    previous = _active_profiler
-    profiler = KernelProfiler()
-    _active_profiler = profiler
-    try:
-        yield profiler
-    finally:
-        _active_profiler = previous
 
 
 @dataclass
@@ -171,26 +115,6 @@ class KernelNode(Node):
         return f"{self.name}: pending output corruption (bit {bit})"
 
     # --------------------------------------------------------------- compute
-    @contextmanager
-    def measured(self) -> Iterator[None]:
-        """Measure the wrapped block's wall time into the active profiler.
-
-        Kernels wrap their hot compute section in ``with self.measured():`` so
-        that ``python -m repro bench`` can report real per-kernel milliseconds.
-        When no profiler is active (every normal campaign) this is a single
-        ``None`` check.
-        """
-        profiler = _active_profiler
-        if profiler is None:
-            yield
-            return
-        start = time.perf_counter()  # repro-lint: disable=RL002 profiler measures real wall time, never sim state
-        try:
-            yield
-        finally:
-            # repro-lint: disable=RL002 profiler measures real wall time, never sim state
-            profiler.record(self.name, time.perf_counter() - start)
-
     def charge_invocation(self, category: str = "compute", scale: float = 1.0) -> None:
         """Charge one kernel invocation of modelled latency."""
         self.invocation_count += 1

@@ -137,3 +137,32 @@ def test_campaign_rejects_unknown_environment(tmp_path, capsys):
     # failures and exit 0 with an empty campaign.
     assert main(_campaign_args(tmp_path, "--env", "bogus")) == 2
     assert "unknown environment" in capsys.readouterr().err
+
+
+def test_campaign_resilience_follows_the_knobs(tmp_path, monkeypatch, capsys):
+    # Every attempt raises; REPRO_MAX_ATTEMPTS=2 allows one retry per spec.
+    monkeypatch.setenv("REPRO_CHAOS", "raise=1.0")
+    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "2")
+    assert main(_campaign_args(tmp_path)) == 0
+    assert "ChaosMissionError" in capsys.readouterr().out
+    store = JsonlResultStore(tmp_path / "results.jsonl")
+    assert len(store) == 0
+    failures = store.load_failures()
+    by_key = {}
+    for record in failures:
+        by_key.setdefault(record["key"], []).append(record["failure"])
+    assert len(by_key) == 2
+    for attempts in by_key.values():
+        assert [f["error_type"] for f in attempts] == ["ChaosMissionError"] * 2
+        assert [(f["attempt"], f["outcome"]) for f in attempts] == [
+            (1, "retried"),
+            (2, "failed"),
+        ]
+
+
+def test_campaign_rejects_garbage_run_scale(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MAVFI_RUNS", "garbage")
+    assert main(_campaign_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MAVFI_RUNS must be a number")
+    assert "Traceback" not in err

@@ -20,7 +20,6 @@ from repro.core.checkpoint import (
     CheckpointManager,
     GoldenPrefixCursor,
     checkpointing_enabled,
-    verification_enabled,
 )
 from repro.core.executor import (
     DETECTOR_AUTOENCODER,
@@ -48,7 +47,6 @@ from repro.sim.memo import memo_stats
 def clean_engine_caches(monkeypatch):
     """Default engine knobs and empty per-process caches for every test."""
     monkeypatch.delenv(checkpoint.NO_CHECKPOINT_ENV, raising=False)
-    monkeypatch.delenv(checkpoint.CHECKPOINT_VERIFY_ENV, raising=False)
     monkeypatch.delenv(builder.NO_CACHE_ENV, raising=False)
     checkpoint.reset_checkpoint_caches()
     builder.reset_world_cache()
@@ -337,17 +335,6 @@ class TestEscapeHatches:
         execute_spec(spec)
         stats = checkpoint.checkpoint_stats()
         assert stats.forks == 0 and stats.cursors_built == 0
-
-    def test_verify_env_cross_checks_forks(self, monkeypatch):
-        monkeypatch.setenv(checkpoint.CHECKPOINT_VERIFY_ENV, "1")
-        assert verification_enabled()
-        config = _config()
-        plan = FaultPlan(target_type="stage", target="planning", injection_time=5.0)
-        spec = RunSpec(config=config, setting="injection", seed=0, fault_plan=plan)
-        # A correct engine passes verification silently.
-        result = execute_spec(spec)
-        assert checkpoint.checkpoint_stats().forks == 1
-        assert result.setting == "injection"
 
     def test_no_cache_env_disables_world_cache(self, monkeypatch):
         monkeypatch.setenv(builder.NO_CACHE_ENV, "1")

@@ -174,7 +174,6 @@ class TestPrefixAffinityScheduling:
         from repro.pipeline import builder
 
         monkeypatch.delenv(checkpoint.NO_CHECKPOINT_ENV, raising=False)
-        monkeypatch.delenv(checkpoint.CHECKPOINT_VERIFY_ENV, raising=False)
         monkeypatch.delenv(builder.NO_CACHE_ENV, raising=False)
         checkpoint.reset_checkpoint_caches()
         builder.reset_world_cache()
@@ -290,6 +289,31 @@ class TestDetectorResolution:
         campaign = _fast_campaign()
         with pytest.raises(ValueError):
             campaign.run_stage_injections(RunSetting.DR_GAUSSIAN, detector="mystery")
+
+    def test_supplied_detector_is_not_retrained(self, monkeypatch, trained_gad):
+        # A campaign holding the GAD its D&R(G) specs name must not train the
+        # AAD (or anything else) that no pending spec flies.
+        def refuse(**kwargs):
+            raise AssertionError("trained a detector no pending spec needs")
+
+        monkeypatch.setattr("repro.core.campaign.train_detectors", refuse)
+        campaign = Campaign(
+            CampaignConfig(
+                environment="farm",
+                num_golden=1,
+                num_injections_per_stage=1,
+                mission_time_limit=60.0,
+                training_environments=1,
+            ),
+            gad=trained_gad,
+        )
+        specs = campaign.stage_injection_specs(
+            RunSetting.DR_GAUSSIAN, detector=DETECTOR_GAUSSIAN, stages=("planning",)
+        )
+        assert len(specs) == 1
+        [record] = campaign.run_specs(specs)
+        assert record.setting == RunSetting.DR_GAUSSIAN
+        assert campaign.aad is None
 
     def test_custom_detector_object_runs_serially(self, trained_gad):
         campaign = _fast_campaign(num_golden=1)

@@ -249,10 +249,9 @@ class TestCampaign:
         monkeypatch.setenv("MAVFI_RUNS", "0.001")
         assert runs_scale() == 0.01
 
-    def test_runs_scale_caches_parsed_value(self, monkeypatch):
+    def test_runs_scale_follows_the_environment(self, monkeypatch):
         monkeypatch.setenv("MAVFI_RUNS", "3.0")
         assert runs_scale() == 3.0
-        # Same raw value: served from the cache (same parse, same result).
         assert runs_scale() == 3.0
         monkeypatch.setenv("MAVFI_RUNS", "4.0")
         assert runs_scale() == 4.0

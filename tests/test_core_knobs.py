@@ -25,7 +25,6 @@ class TestRegistry:
         assert set(names) == {
             "REPRO_NO_CACHE",
             "REPRO_NO_CHECKPOINT",
-            "REPRO_CHECKPOINT_VERIFY",
             "REPRO_BENCH_RESULTS_DIR",
             "REPRO_CHAOS",
             "REPRO_CHAOS_SEED",
@@ -71,8 +70,9 @@ class TestFlags:
         monkeypatch.setenv("REPRO_NO_CACHE", raw)
         assert knobs.flag("REPRO_NO_CACHE") is True
 
-    def test_unset_is_false(self):
-        assert knobs.flag("REPRO_CHECKPOINT_VERIFY") is False
+    def test_unset_is_false(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CHECKPOINT", raising=False)
+        assert knobs.flag("REPRO_NO_CHECKPOINT") is False
 
     def test_flag_accessor_rejects_non_flag_knobs(self):
         with pytest.raises(ValueError, match="not a flag"):
@@ -180,12 +180,13 @@ class TestConsolidatedCallSites:
     """The pre-registry accessors now honour the registry's parsing."""
 
     def test_builder_env_flag(self, monkeypatch):
-        from repro.pipeline.builder import construction_caches_enabled, env_flag
+        from repro.pipeline.builder import construction_caches_enabled
 
-        assert env_flag("REPRO_NO_CACHE") is False
+        assert construction_caches_enabled() is True
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert env_flag("REPRO_NO_CACHE") is True
         assert construction_caches_enabled() is False
+        monkeypatch.setenv("REPRO_NO_CACHE", "no")
+        assert construction_caches_enabled() is True
 
     def test_executor_worker_count(self, monkeypatch):
         from repro.core.executor import env_worker_count
