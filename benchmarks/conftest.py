@@ -1,10 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-section.  The expensive artefacts (Table I, Fig. 6, Table II) share a single
-four-environment campaign that is run once per benchmark session; the trained
-detectors are cached on disk under ``benchmarks/.cache`` so repeated benchmark
-runs do not retrain them.
+section.  Each one streams its campaign to a JSONL shard (:func:`fly`) and
+reads every number from :func:`~repro.analysis.report.build_report` over that
+shard -- the ``python -m repro report`` path.  The expensive artefacts
+(Table I, Fig. 6, Table II) share a single four-environment campaign that is
+flown once per benchmark session; the trained detectors are cached on disk
+under ``benchmarks/.cache`` so repeated benchmark runs do not retrain them.
 
 All campaigns dispatch through the campaign execution engine
 (:mod:`repro.core.executor`): set ``MAVFI_WORKERS=8`` (or ``0`` for one worker
@@ -19,14 +21,19 @@ miniature campaign in minutes, which is what the CI smoke job runs.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
+from typing import Dict, Tuple
 
 import pytest
 
+from repro.analysis.report import build_report
 from repro.bench import harness as bench_harness
 from repro.core import knobs
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
-from repro.core.executor import get_executor
+from repro.core.executor import DETECTOR_AUTOENCODER, DETECTOR_GAUSSIAN, get_executor
+from repro.core.qof import QofSummary
+from repro.core.results import JsonlResultStore
 from repro.detection.training import train_detectors
 from repro.sim.environments import ENVIRONMENT_NAMES
 
@@ -77,6 +84,27 @@ def print_artifact(title: str, body: str) -> None:
     (RESULTS_DIR / f"{slug}.txt").write_text(text)
 
 
+def fly(campaign, specs, shard: Path, **kwargs):
+    """Stream ``specs`` to the JSONL ``shard``; returns the flown records."""
+    return campaign.run_specs(specs, store=JsonlResultStore(shard), **kwargs)
+
+
+def groups(report) -> Dict[Tuple[str, str], Dict]:
+    """A report's groups keyed by ``(environment, setting)``."""
+    return {(group["environment"], group["setting"]): group for group in report["groups"]}
+
+
+def recovery(report) -> Dict[Tuple[str, str], Dict]:
+    """A report's recovery rows keyed by ``(environment, setting)``."""
+    return {(row["environment"], row["setting"]): row for row in report["recovery"]}
+
+
+def summary(group) -> QofSummary:
+    """A report group's QoF numbers, for the :mod:`repro.core.qof` helpers."""
+    qof = group["qof"]
+    return QofSummary(**{f.name: qof[f.name] for f in dataclasses.fields(QofSummary)})
+
+
 @pytest.fixture(scope="session")
 def campaign_executor():
     """The session's campaign executor (serial unless ``MAVFI_WORKERS`` > 1)."""
@@ -94,13 +122,14 @@ def detectors():
 
 
 @pytest.fixture(scope="session")
-def full_campaign(detectors, campaign_executor):
-    """The Table I / Fig. 6 / Table II campaign: all four environments.
+def full_report(detectors, campaign_executor, tmp_path_factory):
+    """The report of the Table I / Fig. 6 / Table II campaign: all four environments.
 
     For each environment: golden runs plus single-bit injections per PPC stage
-    under three settings (FI, D&R(Gaussian), D&R(Autoencoder)).
+    under three settings (FI, D&R(Gaussian), D&R(Autoencoder)), all streamed
+    to one shard.
     """
-    results = {}
+    shard = tmp_path_factory.mktemp("full-campaign") / "full.jsonl"
     for env in ENVIRONMENT_NAMES:
         config = CampaignConfig(
             environment=env,
@@ -112,8 +141,8 @@ def full_campaign(detectors, campaign_executor):
         campaign = Campaign(
             config, gad=detectors.gad, aad=detectors.aad, executor=campaign_executor
         )
-        results[env] = campaign.full_evaluation()
-    return results
+        fly(campaign, campaign.evaluation_specs(), shard)
+    return build_report([shard])
 
 
 @pytest.fixture(scope="session")
@@ -148,9 +177,24 @@ def smoke_campaign(detectors, campaign_executor):
 
 
 @pytest.fixture(scope="session")
-def smoke_evaluation(smoke_campaign):
-    """The miniature campaign's full golden + FI + D&R evaluation result."""
-    return smoke_campaign.full_evaluation()
+def smoke_shard(smoke_campaign, tmp_path_factory):
+    """The miniature campaign streamed to one shard.
+
+    Golden + FI + both D&R settings, plus the detector-on-golden
+    false-positive settings the report bundle needs.
+    """
+    shard = tmp_path_factory.mktemp("smoke-campaign") / "farm.jsonl"
+    specs = smoke_campaign.evaluation_specs()
+    specs += smoke_campaign.dr_golden_specs(DETECTOR_GAUSSIAN)
+    specs += smoke_campaign.dr_golden_specs(DETECTOR_AUTOENCODER)
+    fly(smoke_campaign, specs, shard)
+    return shard
+
+
+@pytest.fixture(scope="session")
+def smoke_report(smoke_shard):
+    """The report of the miniature campaign's shard."""
+    return build_report([smoke_shard])
 
 
 def campaign_settings():

@@ -13,10 +13,10 @@ flight-time ranges and lower success rates.
 
 import pytest
 
+from repro.analysis.report import build_report
 from repro.analysis.reporting import format_distribution_table, format_table
-from repro.core.qof import summarize_runs
 
-from conftest import print_artifact
+from conftest import fly, groups, print_artifact
 
 #: (paper label, kernel node name, planner used for the run).
 KERNEL_SPECS = [
@@ -30,53 +30,60 @@ KERNEL_SPECS = [
 ]
 
 
-def _run_fig3(campaign):
-    golden = campaign.run_golden()
-    by_kernel = campaign.run_kernel_injections(KERNEL_SPECS)
-    return golden, by_kernel
+def _run_fig3(campaign, kernel_specs, shard, **counts):
+    """Golden runs plus per-kernel injections, flown to ``shard``; its report groups
+    as ``[(label, group)]`` with Golden first."""
+    specs = campaign.golden_specs() + campaign.kernel_injection_specs(kernel_specs, **counts)
+    fly(campaign, specs, shard)
+    cells = groups(build_report([shard]))
+    env = campaign.config.environment
+    return [("Golden", cells[(env, "golden")])] + [
+        (label, cells[(env, f"kernel:{label}")]) for label, _, _ in kernel_specs
+    ]
 
 
-def test_fig3_kernel_fault_tolerance(benchmark, sparse_campaign):
-    golden, by_kernel = benchmark.pedantic(
-        _run_fig3, args=(sparse_campaign,), rounds=1, iterations=1
+def _distributions(rows):
+    return [(label, group["flight_time_distribution"]) for label, group in rows]
+
+
+def test_fig3_kernel_fault_tolerance(benchmark, sparse_campaign, tmp_path):
+    rows = benchmark.pedantic(
+        _run_fig3,
+        args=(sparse_campaign, KERNEL_SPECS, tmp_path / "fig3.jsonl"),
+        rounds=1,
+        iterations=1,
     )
 
-    distributions = {"Golden": [r.flight_time for r in golden if r.success]}
-    success_rows = [["Golden", f"{summarize_runs(golden).success_rate * 100:.1f}%"]]
-    for label, runs in by_kernel.items():
-        distributions[label] = [r.flight_time for r in runs if r.success]
-        success_rows.append([label, f"{summarize_runs(runs).success_rate * 100:.1f}%"])
-
+    success_rows = [
+        [label, f"{group['qof']['success_rate'] * 100:.1f}%"] for label, group in rows
+    ]
     body = format_distribution_table(
-        distributions, title="Fig. 3a: flight time per fault-injected kernel (Sparse)"
+        _distributions(rows), title="Fig. 3a: flight time per fault-injected kernel (Sparse)"
     )
     body += "\n\n" + format_table(
         ["Kernel", "Success rate"], success_rows, title="Fig. 3b: flight success rate"
     )
     print_artifact("Fig. 3: end-to-end fault tolerance analysis per kernel", body)
 
-    golden_summary = summarize_runs(golden)
-    assert golden_summary.success_rate >= 0.8
+    qof = {label: group["qof"] for label, group in rows}
+    assert qof["Golden"]["success_rate"] >= 0.8
     # Perception kernels should remain close to Golden on average flight time.
     for label in ("P.C. Gen.", "OctoMap"):
-        kernel_summary = summarize_runs(by_kernel[label])
-        assert kernel_summary.mean_flight_time <= golden_summary.mean_flight_time * 1.3
+        assert qof[label]["mean_flight_time"] <= qof["Golden"]["mean_flight_time"] * 1.3
 
 
 @pytest.mark.smoke
-def test_fig3_smoke(smoke_campaign):
+def test_fig3_smoke(smoke_campaign, tmp_path):
     """Per-kernel characterisation path on one kernel of the smoke campaign."""
-    golden = smoke_campaign.run_golden()
-    by_kernel = smoke_campaign.run_kernel_injections(
-        [("OctoMap", "octomap_generation", "rrt_star")], count_per_kernel=1
+    rows = _run_fig3(
+        smoke_campaign,
+        [("OctoMap", "octomap_generation", "rrt_star")],
+        tmp_path / "fig3-smoke.jsonl",
+        count_per_kernel=1,
     )
-    assert list(by_kernel) == ["OctoMap"]
-    distributions = {
-        "Golden": [r.flight_time for r in golden if r.success],
-        "OctoMap": [r.flight_time for r in by_kernel["OctoMap"] if r.success],
-    }
+    assert [label for label, _ in rows] == ["Golden", "OctoMap"]
     body = format_distribution_table(
-        distributions, title="Fig. 3 (smoke): flight time per kernel (Farm)"
+        _distributions(rows), title="Fig. 3 (smoke): flight time per kernel (Farm)"
     )
     assert "OctoMap" in body
-    assert summarize_runs(golden).success_rate > 0
+    assert rows[0][1]["qof"]["success_rate"] > 0

@@ -12,32 +12,43 @@ the widest flight-time ranges.
 
 import pytest
 
+from repro.analysis.report import build_report
 from repro.analysis.reporting import format_distribution_table, format_table
-from repro.core.qof import summarize_runs
 from repro.pipeline.states import MONITORED_FEATURES
 
-from conftest import print_artifact
+from conftest import fly, groups, print_artifact
 
 
-def _run_fig4(campaign):
-    golden = campaign.run_golden()
-    by_state = campaign.run_state_injections(MONITORED_FEATURES)
-    return golden, by_state
+def _run_fig4(campaign, states, shard, golden=True, **counts):
+    """Per-state injections (plus golden runs) flown to ``shard``: the flown
+    records and the report groups as ``[(label, group)]``."""
+    specs = campaign.golden_specs() if golden else []
+    specs += campaign.state_injection_specs(states, **counts)
+    records = fly(campaign, specs, shard)
+    cells = groups(build_report([shard]))
+    env = campaign.config.environment
+    rows = [("Golden", cells[(env, "golden")])] if golden else []
+    rows += [(state, cells[(env, f"state:{state}")]) for state in states]
+    return records, rows
 
 
-def test_fig4_interkernel_state_fault_tolerance(benchmark, sparse_campaign):
-    golden, by_state = benchmark.pedantic(
-        _run_fig4, args=(sparse_campaign,), rounds=1, iterations=1
+def _distributions(rows):
+    return [(label, group["flight_time_distribution"]) for label, group in rows]
+
+
+def test_fig4_interkernel_state_fault_tolerance(benchmark, sparse_campaign, tmp_path):
+    _, rows = benchmark.pedantic(
+        _run_fig4,
+        args=(sparse_campaign, MONITORED_FEATURES, tmp_path / "fig4.jsonl"),
+        rounds=1,
+        iterations=1,
     )
 
-    distributions = {"Golden": [r.flight_time for r in golden if r.success]}
-    success_rows = [["Golden", f"{summarize_runs(golden).success_rate * 100:.1f}%"]]
-    for state, runs in by_state.items():
-        distributions[state] = [r.flight_time for r in runs if r.success]
-        success_rows.append([state, f"{summarize_runs(runs).success_rate * 100:.1f}%"])
-
+    success_rows = [
+        [label, f"{group['qof']['success_rate'] * 100:.1f}%"] for label, group in rows
+    ]
     body = format_distribution_table(
-        distributions,
+        _distributions(rows),
         title="Fig. 4: flight time with corrupted inter-kernel states (Sparse)",
     )
     body += "\n\n" + format_table(
@@ -48,23 +59,21 @@ def test_fig4_interkernel_state_fault_tolerance(benchmark, sparse_campaign):
     print_artifact("Fig. 4: error propagation across PPC stages", body)
 
     # Every state was exercised and the golden baseline is healthy.
-    assert set(by_state) == set(MONITORED_FEATURES)
-    assert summarize_runs(golden).success_rate >= 0.8
+    assert [label for label, _ in rows[1:]] == list(MONITORED_FEATURES)
+    assert all(group["qof"]["num_runs"] > 0 for _, group in rows)
+    assert rows[0][1]["qof"]["success_rate"] >= 0.8
 
 
 @pytest.mark.smoke
-def test_fig4_smoke(smoke_campaign):
+def test_fig4_smoke(smoke_campaign, tmp_path):
     """Per-state characterisation path on two states of the smoke campaign."""
     states = list(MONITORED_FEATURES[:2])
-    by_state = smoke_campaign.run_state_injections(states, count_per_state=1)
-    assert set(by_state) == set(states)
-    distributions = {
-        state: [r.flight_time for r in runs if r.success]
-        for state, runs in by_state.items()
-    }
+    records, rows = _run_fig4(
+        smoke_campaign, states, tmp_path / "fig4-smoke.jsonl", golden=False, count_per_state=1
+    )
     body = format_distribution_table(
-        distributions, title="Fig. 4 (smoke): corrupted inter-kernel states (Farm)"
+        _distributions(rows), title="Fig. 4 (smoke): corrupted inter-kernel states (Farm)"
     )
     for state in states:
         assert state in body
-        assert all(r.fault_target == state for r in by_state[state])
+    assert [r.fault_target for r in records] == states

@@ -11,26 +11,26 @@ import pytest
 
 from repro.analysis.reporting import format_distribution_table, format_table
 from repro.core.campaign import RunSetting
-from repro.core.qof import worst_case_recovery
+from repro.core.qof import worst_case_increase
 from repro.sim.environments import ENVIRONMENT_NAMES
 
-from conftest import campaign_settings, print_artifact
+from conftest import campaign_settings, groups, print_artifact, recovery, summary
 
 
-def _collect_distributions(full_campaign):
-    distributions = {}
-    for env in ENVIRONMENT_NAMES:
-        result = full_campaign[env]
-        distributions[env] = {
-            label: result.flight_times(setting)
+def _collect_distributions(report, environments):
+    cells = groups(report)
+    return {
+        env: [
+            (label, cells[(env, setting)]["flight_time_distribution"])
             for setting, label in campaign_settings().items()
-        }
-    return distributions
+        ]
+        for env in environments
+    }
 
 
-def test_fig6_flight_time_distributions(benchmark, full_campaign):
+def test_fig6_flight_time_distributions(benchmark, full_report):
     distributions = benchmark.pedantic(
-        _collect_distributions, args=(full_campaign,), rounds=1, iterations=1
+        _collect_distributions, args=(full_report, ENVIRONMENT_NAMES), rounds=1, iterations=1
     )
 
     body_parts = []
@@ -42,19 +42,20 @@ def test_fig6_flight_time_distributions(benchmark, full_campaign):
             )
         )
 
+    cells = groups(full_report)
+    rows = recovery(full_report)
     recovery_rows = []
     for env in ENVIRONMENT_NAMES:
-        result = full_campaign[env]
-        golden = result.summary(RunSetting.GOLDEN)
-        injection = result.summary(RunSetting.INJECTION)
-        gad = result.summary(RunSetting.DR_GAUSSIAN)
-        aad = result.summary(RunSetting.DR_AUTOENCODER)
+        golden = summary(cells[(env, RunSetting.GOLDEN)])
+        injection = summary(cells[(env, RunSetting.INJECTION)])
         recovery_rows.append(
             [
                 env,
-                f"{(injection.worst_flight_time / max(golden.worst_flight_time, 1e-9) - 1) * 100:+.1f}%",
-                f"{worst_case_recovery(golden, injection, gad) * 100:.0f}%",
-                f"{worst_case_recovery(golden, injection, aad) * 100:.0f}%",
+                f"{worst_case_increase(golden, injection) * 100:+.1f}%",
+                *(
+                    f"{rows[(env, setting)]['worst_case_recovery'] * 100:.0f}%"
+                    for setting in (RunSetting.DR_GAUSSIAN, RunSetting.DR_AUTOENCODER)
+                ),
             ]
         )
     body_parts.append(
@@ -67,23 +68,20 @@ def test_fig6_flight_time_distributions(benchmark, full_campaign):
     print_artifact("Fig. 6: flight time distributions", "\n\n".join(body_parts))
 
     for env in ENVIRONMENT_NAMES:
-        result = full_campaign[env]
-        golden = result.summary(RunSetting.GOLDEN)
-        aad = result.summary(RunSetting.DR_AUTOENCODER)
+        golden = cells[(env, RunSetting.GOLDEN)]["qof"]
+        aad = cells[(env, RunSetting.DR_AUTOENCODER)]["qof"]
         # With D&R the mean flight time stays close to golden.
-        assert aad.mean_flight_time <= golden.mean_flight_time * 1.3
+        assert aad["mean_flight_time"] <= golden["mean_flight_time"] * 1.3
 
 
 @pytest.mark.smoke
-def test_fig6_smoke(smoke_evaluation):
+def test_fig6_smoke(smoke_report):
     """Flight-time distribution path on the miniature Farm campaign."""
-    distributions = {
-        label: smoke_evaluation.flight_times(setting)
-        for setting, label in campaign_settings().items()
-    }
+    [(_, distributions)] = _collect_distributions(smoke_report, ["farm"]).items()
     body = format_distribution_table(
         distributions, title="Fig. 6 (smoke): flight time of successful runs (Farm)"
     )
     for label in campaign_settings().values():
         assert label in body
-    assert len(distributions["Golden Run"]) > 0
+    # None is an empty sample: no golden run succeeded.
+    assert dict(distributions)["Golden Run"] is not None

@@ -1,11 +1,12 @@
 """Report-engine benchmark: the full paper bundle from a streamed campaign.
 
-Streams the miniature farm campaign (golden + FI + both D&R schemes + the
-detector-on-golden false-positive settings) to a JSONL store, runs the
-streaming report engine over it and regenerates the whole artifact set in one
-pass -- the ``python -m repro report`` code path end to end.  The smoke case
-is part of the CI smoke job; it also re-checks the engine's shard-order
-determinism on real campaign output.
+Reads the miniature farm campaign's shard (golden + FI + both D&R schemes +
+the detector-on-golden false-positive settings; the ``smoke_shard`` fixture
+that the other smoke tables read too), runs the streaming report engine over
+it and regenerates the whole artifact set in one pass -- the
+``python -m repro report`` code path end to end.  The smoke case is part of
+the CI smoke job; it also re-checks the engine's shard-order determinism on
+real campaign output.
 """
 
 import json
@@ -13,46 +14,14 @@ import json
 import pytest
 
 from repro.analysis.report import build_report, render_report, write_report
-from repro.core.campaign import Campaign, CampaignConfig, RunSetting
-from repro.core.executor import DETECTOR_AUTOENCODER, DETECTOR_GAUSSIAN
-from repro.core.results import JsonlResultStore
+from repro.core.campaign import RunSetting
 
-from conftest import (
-    CACHE_DIR,
-    SMOKE_GOLDEN_RUNS,
-    SMOKE_INJECTIONS_PER_STAGE,
-    TRAINING_ENVIRONMENTS,
-    print_artifact,
-)
-
-
-@pytest.fixture(scope="module")
-def report_store(detectors, campaign_executor, tmp_path_factory):
-    """One farm smoke campaign streamed to a JSONL shard (with FPR settings)."""
-    config = CampaignConfig(
-        environment="farm",
-        num_golden=SMOKE_GOLDEN_RUNS,
-        num_injections_per_stage=SMOKE_INJECTIONS_PER_STAGE,
-        mission_time_limit=60.0,
-        training_environments=TRAINING_ENVIRONMENTS,
-        detector_cache_dir=CACHE_DIR,
-    )
-    campaign = Campaign(
-        config, gad=detectors.gad, aad=detectors.aad, executor=campaign_executor
-    )
-    specs = campaign.evaluation_specs()
-    specs += campaign.dr_golden_specs(DETECTOR_GAUSSIAN)
-    specs += campaign.dr_golden_specs(DETECTOR_AUTOENCODER)
-    store = JsonlResultStore(tmp_path_factory.mktemp("report-bench") / "farm.jsonl")
-    campaign.run_specs(specs, store=store)
-    return store
+from conftest import print_artifact
 
 
 @pytest.mark.smoke
-def test_smoke_report_bundle(benchmark, report_store, tmp_path):
-    report = benchmark.pedantic(
-        build_report, args=([report_store.path],), rounds=1, iterations=1
-    )
+def test_smoke_report_bundle(benchmark, smoke_shard, tmp_path):
+    report = benchmark.pedantic(build_report, args=([smoke_shard],), rounds=1, iterations=1)
     out = write_report(report, tmp_path / "report.json")
 
     body = render_report(report)
@@ -75,8 +44,8 @@ def test_smoke_report_bundle(benchmark, report_store, tmp_path):
 
 
 @pytest.mark.smoke
-def test_smoke_report_shard_order_invariant(report_store, tmp_path):
-    lines = report_store.path.read_text().splitlines()
+def test_smoke_report_shard_order_invariant(smoke_shard, tmp_path):
+    lines = smoke_shard.read_text().splitlines()
     cut = len(lines) // 2
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

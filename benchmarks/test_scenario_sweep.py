@@ -10,14 +10,13 @@ bit-identity contract under the most hostile scenario axes.
 
 import pytest
 
+from repro.analysis.report import build_report
+from repro.analysis.reporting import format_table
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.executor import ParallelExecutor, SerialExecutor
-from repro.core.qof import summarize_runs
-from repro.core.results import mission_result_to_dict
 from repro.scenarios import get_scenario, scenario_names
 
-from conftest import print_artifact
-from repro.analysis.reporting import format_table
+from conftest import fly, groups, print_artifact
 
 #: Scenarios exercised by the CI smoke job: one per axis (waypoints, wind +
 #: degradation + waypoints, heavy sensor degradation), all on fast Farm maps.
@@ -34,56 +33,61 @@ def _campaign(num_golden, scenario=None):
     return Campaign(config)
 
 
+def _scenario_qof(shard, names):
+    """Each scenario's QoF numbers from the report of ``shard``."""
+    cells = groups(build_report([shard]))
+    return {
+        name: cells[(get_scenario(name).environment, f"scenario:{name}")]["qof"]
+        for name in names
+    }
+
+
 @pytest.mark.smoke
-def test_smoke_scenario_sweep_bit_identical():
+def test_smoke_scenario_sweep_bit_identical(tmp_path):
     """A 2-worker scenario sweep matches the serial sweep bit for bit."""
     campaign = _campaign(num_golden=2)
     specs = campaign.scenario_sweep_specs(SMOKE_SCENARIOS)
-    serial = campaign.run_specs(specs, executor=SerialExecutor())
-    parallel = campaign.run_specs(specs, executor=ParallelExecutor(workers=2))
-    assert len(serial) == len(parallel) == len(specs)
-    for left, right in zip(serial, parallel):
-        assert mission_result_to_dict(left) == mission_result_to_dict(right)
-    rows = []
-    for name in SMOKE_SCENARIOS:
-        records = [r for r in serial if r.scenario == name]
-        summary = summarize_runs(records)
-        rows.append(
-            [
-                name,
-                summary.num_runs,
-                f"{summary.success_rate * 100:.0f}%",
-                f"{summary.mean_flight_time:.1f}",
-            ]
-        )
+    serial = tmp_path / "serial.jsonl"
+    parallel = tmp_path / "parallel.jsonl"
+    fly(campaign, specs, serial, executor=SerialExecutor())
+    fly(campaign, specs, parallel, executor=ParallelExecutor(workers=2))
+    serial_lines = serial.read_text().splitlines()
+    assert len(serial_lines) == len(specs)
+    assert sorted(serial_lines) == sorted(parallel.read_text().splitlines())
+    qof = _scenario_qof(serial, SMOKE_SCENARIOS)
+    rows = [
+        [
+            name,
+            summary["num_runs"],
+            f"{summary['success_rate'] * 100:.0f}%",
+            f"{summary['mean_flight_time']:.1f}",
+        ]
+        for name, summary in qof.items()
+    ]
     print_artifact(
         "Scenario sweep smoke: serial == 2-worker parallel",
         format_table(["Scenario", "Runs", "Success", "Mean flight [s]"], rows),
     )
 
 
-def test_full_scenario_catalog_sweep(campaign_executor):
+def test_full_scenario_catalog_sweep(campaign_executor, tmp_path):
     """Sweep every registered scenario and report the QoF per scenario."""
     campaign = _campaign(num_golden=4)
-    by_scenario = campaign.run_scenario_sweep(
-        scenario_names(), executor=campaign_executor
-    )
+    shard = tmp_path / "catalog.jsonl"
+    fly(campaign, campaign.scenario_sweep_specs(scenario_names()), shard, executor=campaign_executor)
+    qof = _scenario_qof(shard, sorted(scenario_names()))
     rows = []
-    any_fallback = False
-    for name in sorted(by_scenario):
-        scenario = get_scenario(name)
-        summary = summarize_runs(by_scenario[name])
+    for name, summary in qof.items():
         # Mark rows whose statistics describe failed runs (no success).
-        mark = "*" if summary.fell_back_to_failures else ""
-        any_fallback = any_fallback or summary.fell_back_to_failures
+        mark = "*" if summary["fell_back_to_failures"] else ""
         rows.append(
             [
                 name,
-                scenario.environment,
-                summary.num_runs,
-                f"{summary.success_rate * 100:.0f}%",
-                f"{summary.mean_flight_time:.1f}{mark}",
-                f"{summary.mean_energy / 1000:.1f}{mark}",
+                get_scenario(name).environment,
+                summary["num_runs"],
+                f"{summary['success_rate'] * 100:.0f}%",
+                f"{summary['mean_flight_time']:.1f}{mark}",
+                f"{summary['mean_energy'] / 1000:.1f}{mark}",
             ]
         )
     body = format_table(
@@ -97,10 +101,10 @@ def test_full_scenario_catalog_sweep(campaign_executor):
         ],
         rows,
     )
-    if any_fallback:
+    if any(summary["fell_back_to_failures"] for summary in qof.values()):
         body += "\n(* statistics over failed runs: no mission of that scenario succeeded)"
     print_artifact("Scenario catalog sweep: QoF per preset", body)
     # The calm baseline scenario must stay reliable; hostile scenarios are
     # allowed to fail missions but must all have produced records.
-    assert summarize_runs(by_scenario["calm-sparse"]).success_rate >= 0.75
-    assert set(by_scenario) == set(scenario_names())
+    assert qof["calm-sparse"]["success_rate"] >= 0.75
+    assert all(summary["num_runs"] == 4 for summary in qof.values())

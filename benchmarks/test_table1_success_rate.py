@@ -11,24 +11,25 @@ import pytest
 
 from repro.analysis.reporting import format_success_rate_table, format_table
 from repro.core.campaign import RunSetting
-from repro.core.qof import failure_recovery_rate
 from repro.sim.environments import ENVIRONMENT_NAMES
 
-from conftest import campaign_settings, print_artifact
+from conftest import campaign_settings, groups, print_artifact, recovery
 
 
-def _collect_success_rates(full_campaign):
-    rates = {}
-    for setting in campaign_settings():
-        rates[setting] = {
-            env: full_campaign[env].success_rate(setting) for env in ENVIRONMENT_NAMES
-        }
-    return rates
+def _collect_success_rates(report, environments):
+    cells = groups(report)
+    return {
+        setting: {env: cells[(env, setting)]["qof"]["success_rate"] for env in environments}
+        for setting in campaign_settings()
+    }
 
 
-def test_table1_success_rate(benchmark, full_campaign):
+def test_table1_success_rate(benchmark, full_report):
     rates = benchmark.pedantic(
-        _collect_success_rates, args=(full_campaign,), rounds=1, iterations=1
+        _collect_success_rates,
+        args=(full_report, ENVIRONMENT_NAMES),
+        rounds=1,
+        iterations=1,
     )
 
     body = format_success_rate_table(
@@ -39,20 +40,17 @@ def test_table1_success_rate(benchmark, full_campaign):
         title="Table I: flight success rate in the 4 evaluation environments",
     )
 
-    recovery_rows = []
-    for env in ENVIRONMENT_NAMES:
-        result = full_campaign[env]
-        golden = result.summary(RunSetting.GOLDEN)
-        injection = result.summary(RunSetting.INJECTION)
-        gad = result.summary(RunSetting.DR_GAUSSIAN)
-        aad = result.summary(RunSetting.DR_AUTOENCODER)
-        recovery_rows.append(
-            [
-                env,
-                f"{failure_recovery_rate(golden, injection, gad) * 100:.0f}%",
-                f"{failure_recovery_rate(golden, injection, aad) * 100:.0f}%",
-            ]
-        )
+    rows = recovery(full_report)
+    recovery_rows = [
+        [
+            env,
+            *(
+                f"{rows[(env, setting)]['failure_recovery_rate'] * 100:.0f}%"
+                for setting in (RunSetting.DR_GAUSSIAN, RunSetting.DR_AUTOENCODER)
+            ),
+        ]
+        for env in ENVIRONMENT_NAMES
+    ]
     body += "\n\n" + format_table(
         ["Environment", "Gaussian recovery", "Autoencoder recovery"],
         recovery_rows,
@@ -61,23 +59,18 @@ def test_table1_success_rate(benchmark, full_campaign):
     print_artifact("Table I: flight success rate", body)
 
     for env in ENVIRONMENT_NAMES:
-        result = full_campaign[env]
-        golden_rate = result.success_rate(RunSetting.GOLDEN)
-        assert golden_rate >= 0.8
+        assert rates[RunSetting.GOLDEN][env] >= 0.8
         # D&R must never be (meaningfully) worse than plain fault injection.
-        assert result.success_rate(RunSetting.DR_AUTOENCODER) >= result.success_rate(
-            RunSetting.INJECTION
-        ) - 0.1
+        assert (
+            rates[RunSetting.DR_AUTOENCODER][env] >= rates[RunSetting.INJECTION][env] - 0.1
+        )
 
 
 @pytest.mark.smoke
-def test_table1_smoke(smoke_evaluation):
+def test_table1_smoke(smoke_report):
     """Success-rate table path on the miniature Farm campaign."""
     settings = campaign_settings()
-    rates = {
-        setting: {"farm": smoke_evaluation.success_rate(setting)}
-        for setting in settings
-    }
+    rates = _collect_success_rates(smoke_report, ["farm"])
     body = format_success_rate_table(
         rates,
         environments=["farm"],
@@ -86,4 +79,4 @@ def test_table1_smoke(smoke_evaluation):
         title="Table I (smoke): flight success rate (Farm)",
     )
     assert "farm" in body.lower()
-    assert smoke_evaluation.success_rate(RunSetting.GOLDEN) >= 0.5
+    assert rates[RunSetting.GOLDEN]["farm"] >= 0.5

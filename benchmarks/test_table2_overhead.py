@@ -11,40 +11,54 @@ cheap control stage.
 
 import pytest
 
+from repro.analysis.report import render_report
 from repro.analysis.reporting import format_overhead_table
 from repro.core.campaign import RunSetting
-from repro.core.overhead import compute_overhead
+from repro.core.overhead import OverheadReport
 from repro.sim.environments import ENVIRONMENT_NAMES
 
-from conftest import print_artifact
+from conftest import groups, print_artifact
 
 
-def _collect_overheads(full_campaign):
-    gaussian = {}
-    autoencoder = {}
-    for env in ENVIRONMENT_NAMES:
-        result = full_campaign[env]
-        gaussian[env] = compute_overhead(
-            result.results(RunSetting.DR_GAUSSIAN), detector="gad", environment=env
-        )
-        autoencoder[env] = compute_overhead(
-            result.results(RunSetting.DR_AUTOENCODER), detector="aad", environment=env
-        )
+def _collect_overheads(report, environments):
+    cells = groups(report)
+
+    def overhead(env, setting):
+        return OverheadReport.from_dict(cells[(env, setting)]["overhead"], env)
+
+    gaussian = {env: overhead(env, RunSetting.DR_GAUSSIAN) for env in environments}
+    autoencoder = {env: overhead(env, RunSetting.DR_AUTOENCODER) for env in environments}
     return gaussian, autoencoder
 
 
-def test_table2_detection_recovery_overhead(benchmark, full_campaign):
+def _blocks(reports, detector):
+    return [(f"[{env}] detector={detector}", report) for env, report in reports.items()]
+
+
+def test_table2_detection_recovery_overhead(benchmark, full_report):
     gaussian, autoencoder = benchmark.pedantic(
-        _collect_overheads, args=(full_campaign,), rounds=1, iterations=1
+        _collect_overheads, args=(full_report, ENVIRONMENT_NAMES), rounds=1, iterations=1
     )
 
     body = format_overhead_table(
-        gaussian, title="Table II (Gaussian-based): DET / RECOV overhead per stage"
+        _blocks(gaussian, "gad"),
+        title="Table II (Gaussian-based): DET / RECOV overhead per stage",
     )
     body += "\n\n" + format_overhead_table(
-        autoencoder, title="Table II (Autoencoder-based): DET / RECOV overhead"
+        _blocks(autoencoder, "aad"),
+        title="Table II (Autoencoder-based): DET / RECOV overhead",
     )
     print_artifact("Table II: compute time overhead of detection and recovery", body)
+
+    # `repro report` prints the very same rows for each D&R cell.
+    rendered = render_report(full_report)
+    for setting, reports in (
+        (RunSetting.DR_GAUSSIAN, gaussian),
+        (RunSetting.DR_AUTOENCODER, autoencoder),
+    ):
+        for env, report in reports.items():
+            block = [f"[{env}] {setting}", *("  " + row for row in report.rows())]
+            assert "\n".join(block) in rendered
 
     for env in ENVIRONMENT_NAMES:
         # The autoencoder scheme must be far cheaper than the Gaussian scheme
@@ -60,17 +74,13 @@ def test_table2_detection_recovery_overhead(benchmark, full_campaign):
 
 
 @pytest.mark.smoke
-def test_table2_smoke(smoke_evaluation):
+def test_table2_smoke(smoke_report):
     """Overhead accounting path on the miniature Farm campaign."""
-    gaussian = compute_overhead(
-        smoke_evaluation.results(RunSetting.DR_GAUSSIAN), detector="gad", environment="farm"
-    )
-    autoencoder = compute_overhead(
-        smoke_evaluation.results(RunSetting.DR_AUTOENCODER), detector="aad", environment="farm"
-    )
+    gaussian, autoencoder = _collect_overheads(smoke_report, ["farm"])
     body = format_overhead_table(
-        {"farm": gaussian}, title="Table II (smoke, Gaussian): DET / RECOV overhead"
+        _blocks(gaussian, "gad"),
+        title="Table II (smoke, Gaussian): DET / RECOV overhead",
     )
     assert "farm" in body
-    assert gaussian.total_overhead >= 0
-    assert autoencoder.total_overhead >= 0
+    assert gaussian["farm"].total_overhead >= 0
+    assert autoencoder["farm"].total_overhead >= 0

@@ -6,8 +6,10 @@ This example reproduces the paper's Section IV/VI story end to end:
 1. train the Gaussian-based (GAD) and autoencoder-based (AAD) detectors on
    error-free missions in randomized environments,
 2. fly fault-injection missions with no protection, with GAD and with AAD,
+   streaming them to a JSONL shard,
 3. report success rate, flight time and the detection/recovery compute
-   overhead of both schemes (cf. Table I, Fig. 6 and Table II).
+   overhead of both schemes (cf. Table I, Fig. 6 and Table II) from the
+   shard's report, as ``python -m repro report`` does.
 
 Run with::
 
@@ -15,12 +17,20 @@ Run with::
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
+from repro.analysis.report import build_report
 from repro.analysis.reporting import format_distribution_table, format_overhead_table, format_table
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
-from repro.core.overhead import compute_overhead
-from repro.core.qof import failure_recovery_rate, worst_case_recovery
+from repro.core.overhead import OverheadReport
+from repro.core.results import JsonlResultStore
 from repro.detection.training import train_detectors
+
+
+def _percent(rate) -> str:
+    # No degradation to recover leaves a recovery rate undefined (None).
+    return "n/a" if rate is None else f"{rate * 100:.0f}%"
 
 
 def main() -> None:
@@ -44,7 +54,12 @@ def main() -> None:
 
     print(f"Running the evaluation campaign in '{environment}' "
           f"(golden + FI + D&R(G) + D&R(A))...")
-    result = campaign.full_evaluation()
+    with tempfile.TemporaryDirectory() as tmp:
+        shard = Path(tmp) / f"{environment}.jsonl"
+        campaign.run_specs(campaign.evaluation_specs(), store=JsonlResultStore(shard))
+        report = build_report([shard])
+    groups = {group["setting"]: group for group in report["groups"]}
+    recovery = {row["setting"]: row for row in report["recovery"]}
 
     labels = {
         RunSetting.GOLDEN: "Golden Run",
@@ -54,14 +69,14 @@ def main() -> None:
     }
     rows = []
     for setting, label in labels.items():
-        summary = result.summary(setting)
+        qof = groups[setting]["qof"]
         rows.append(
             [
                 label,
-                f"{summary.success_rate * 100:.1f}%",
-                f"{summary.mean_flight_time:.1f}",
-                f"{summary.worst_flight_time:.1f}",
-                f"{summary.mean_energy / 1000:.1f}",
+                f"{qof['success_rate'] * 100:.1f}%",
+                f"{qof['mean_flight_time']:.1f}",
+                f"{qof['worst_flight_time']:.1f}",
+                f"{qof['mean_energy'] / 1000:.1f}",
             ]
         )
     print(format_table(
@@ -70,25 +85,24 @@ def main() -> None:
         title="\nQuality of flight per setting (cf. Table I / Fig. 6)",
     ))
 
-    golden = result.summary(RunSetting.GOLDEN)
-    injection = result.summary(RunSetting.INJECTION)
-    gad = result.summary(RunSetting.DR_GAUSSIAN)
-    aad = result.summary(RunSetting.DR_AUTOENCODER)
+    gad = recovery[RunSetting.DR_GAUSSIAN]
+    aad = recovery[RunSetting.DR_AUTOENCODER]
     print("\nRecovery effectiveness")
-    print(f"  failure cases recovered:   GAD {failure_recovery_rate(golden, injection, gad) * 100:.0f}%   "
-          f"AAD {failure_recovery_rate(golden, injection, aad) * 100:.0f}%")
-    print(f"  worst-case flight time:    GAD {worst_case_recovery(golden, injection, gad) * 100:.0f}%   "
-          f"AAD {worst_case_recovery(golden, injection, aad) * 100:.0f}%")
+    print(f"  failure cases recovered:   GAD {_percent(gad['failure_recovery_rate'])}   "
+          f"AAD {_percent(aad['failure_recovery_rate'])}")
+    print(f"  worst-case flight time:    GAD {_percent(gad['worst_case_recovery'])}   "
+          f"AAD {_percent(aad['worst_case_recovery'])}")
 
     print(format_distribution_table(
-        {labels[s]: result.flight_times(s) for s in labels},
+        [(label, groups[s]["flight_time_distribution"]) for s, label in labels.items()],
         title="\nFlight time distributions (successful runs)",
     ))
 
-    overheads = {
-        "gaussian": compute_overhead(result.results(RunSetting.DR_GAUSSIAN), "gad", environment),
-        "autoencoder": compute_overhead(result.results(RunSetting.DR_AUTOENCODER), "aad", environment),
-    }
+    overheads = [
+        (f"[{environment}] {labels[s]}", OverheadReport.from_dict(groups[s]["overhead"], environment))
+        for s in (RunSetting.DR_GAUSSIAN, RunSetting.DR_AUTOENCODER)
+        if groups[s]["overhead"] is not None
+    ]
     print("\n" + format_overhead_table(overheads, title="Compute overhead (cf. Table II)"))
 
 

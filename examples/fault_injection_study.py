@@ -15,12 +15,18 @@ processes.  Run with::
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
+from repro.analysis.report import build_report
 from repro.analysis.reporting import format_distribution_table, format_table
-from repro.core.campaign import Campaign, CampaignConfig, RunSetting
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.executor import get_executor
-from repro.core.qof import summarize_runs
+from repro.core.results import JsonlResultStore
 from repro.pipeline.states import MONITORED_FEATURES
+from repro.topics import PPC_STAGES
+
+STATES = MONITORED_FEATURES[:6]
 
 
 def main() -> None:
@@ -36,26 +42,34 @@ def main() -> None:
         ),
         executor=get_executor(workers),
     )
+    # One setting per PPC stage, so the report keeps the stages apart.
+    specs = campaign.golden_specs()
+    for stage in PPC_STAGES:
+        specs += campaign.stage_injection_specs(f"injection:{stage}", stages=(stage,))
+    specs += campaign.state_injection_specs(STATES)
 
-    print(f"Golden runs in '{environment}'...")
-    golden = campaign.run_golden()
-    golden_summary = summarize_runs(golden)
-    print(f"  success rate {golden_summary.success_rate * 100:.0f}%, "
-          f"flight time {golden_summary.mean_flight_time:.1f} s "
-          f"(worst {golden_summary.worst_flight_time:.1f} s)")
+    print(f"Flying {len(specs)} missions in '{environment}': golden runs, one "
+          f"single-bit fault per mission into each PPC stage and into "
+          f"{len(STATES)} inter-kernel states...")
+    with tempfile.TemporaryDirectory() as tmp:
+        shard = Path(tmp) / f"{environment}.jsonl"
+        records = campaign.run_specs(specs, store=JsonlResultStore(shard))
+        groups = {group["setting"]: group for group in build_report([shard])["groups"]}
 
-    print("Injecting one single-bit fault per mission into each PPC stage...")
-    per_stage = campaign.run_stage_injections(RunSetting.INJECTION)
+    golden = groups["golden"]["qof"]
+    print(f"  golden: success rate {golden['success_rate'] * 100:.0f}%, "
+          f"flight time {golden['mean_flight_time']:.1f} s "
+          f"(worst {golden['worst_flight_time']:.1f} s)")
+
     stage_rows = []
-    for stage in ("perception", "planning", "control"):
-        runs = [r for r in per_stage if r.fault_target == stage]
-        summary = summarize_runs(runs)
+    for stage in PPC_STAGES:
+        qof = groups[f"injection:{stage}"]["qof"]
         stage_rows.append(
             [
                 stage,
-                f"{summary.success_rate * 100:.0f}%",
-                f"{summary.mean_flight_time:.1f}",
-                f"{summary.worst_flight_time:.1f}",
+                f"{qof['success_rate'] * 100:.0f}%",
+                f"{qof['mean_flight_time']:.1f}",
+                f"{qof['worst_flight_time']:.1f}",
             ]
         )
     print(format_table(
@@ -64,17 +78,20 @@ def main() -> None:
         title="\nPer-stage fault injection (cf. Fig. 3)",
     ))
 
-    print("\nInjecting into individual inter-kernel states (cf. Fig. 4)...")
-    by_state = campaign.run_state_injections(MONITORED_FEATURES[:6])
-    distributions = {"golden": [r.flight_time for r in golden if r.success]}
-    for state, runs in by_state.items():
-        distributions[state] = [r.flight_time for r in runs if r.success]
-    print(format_distribution_table(distributions, title="Flight time per corrupted state"))
+    distributions = [("golden", groups["golden"]["flight_time_distribution"])]
+    distributions += [
+        (state, groups[f"state:{state}"]["flight_time_distribution"]) for state in STATES
+    ]
+    print(format_distribution_table(
+        distributions, title="\nFlight time per corrupted state (cf. Fig. 4)"
+    ))
 
     print("\nExample fault descriptions:")
-    for record in per_stage[:6]:
-        if record.fault_description:
-            print(f"  [{record.fault_target:<10s}] {record.fault_description}")
+    described = [
+        r for r in records if r.setting.startswith("injection:") and r.fault_description
+    ]
+    for record in described[:6]:
+        print(f"  [{record.fault_target:<10s}] {record.fault_description}")
 
 
 if __name__ == "__main__":

@@ -14,10 +14,13 @@ Run with::
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
+from repro.analysis.report import build_report
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.executor import get_executor
-from repro.core.qof import summarize_runs
+from repro.core.results import JsonlResultStore
 from repro.scenarios import (
     MissionPlan,
     Scenario,
@@ -33,26 +36,9 @@ def main() -> int:
     workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
 
     campaign = Campaign(
-        CampaignConfig(environment="farm", num_golden=runs, mission_time_limit=90.0)
+        CampaignConfig(environment="farm", num_golden=runs, mission_time_limit=90.0),
+        executor=get_executor(workers),
     )
-    executor = get_executor(workers)
-
-    print(f"sweeping {len(scenario_names())} preset scenarios, {runs} runs each")
-    by_scenario = campaign.run_scenario_sweep(scenario_names(), executor=executor)
-    print(f"{'Scenario':<22s} {'Env':<13s} {'Success':>8s} {'Mean flight':>12s}")
-    for name in sorted(by_scenario):
-        scenario = get_scenario(name)
-        summary = summarize_runs(by_scenario[name])
-        flight = (
-            f"{summary.mean_flight_time:9.1f} s"
-            + ("*" if summary.fell_back_to_failures else " ")
-        )
-        print(
-            f"{name:<22s} {scenario.environment:<13s} "
-            f"{summary.success_rate * 100:7.0f}% {flight:>12s}"
-        )
-    print("(* flight-time statistics over failed runs: no mission succeeded)")
-
     # A custom scenario is just a frozen dataclass -- compose the axes freely.
     custom = Scenario(
         name="demo-breezy-patrol",
@@ -61,12 +47,34 @@ def main() -> int:
         sensors=SensorDegradationConfig(depth_dropout=0.02),
         mission=MissionPlan(waypoints=((20.0, 12.0, 2.0),)),
     )
-    records = campaign.run_scenario_sweep([custom], count=runs, executor=executor)
-    summary = summarize_runs(records[custom.name])
+
+    print(f"sweeping {len(scenario_names())} preset scenarios and {custom.name!r}, "
+          f"{runs} runs each")
+    with tempfile.TemporaryDirectory() as tmp:
+        shard = Path(tmp) / "sweep.jsonl"
+        specs = campaign.scenario_sweep_specs([*scenario_names(), custom])
+        campaign.run_specs(specs, store=JsonlResultStore(shard))
+        report = build_report([shard])
+    qof = {group["scenario"]: group["qof"] for group in report["groups"]}
+
+    print(f"{'Scenario':<22s} {'Env':<13s} {'Success':>8s} {'Mean flight':>12s}")
+    for name in sorted(scenario_names()):
+        summary = qof[name]
+        flight = (
+            f"{summary['mean_flight_time']:9.1f} s"
+            + ("*" if summary["fell_back_to_failures"] else " ")
+        )
+        print(
+            f"{name:<22s} {get_scenario(name).environment:<13s} "
+            f"{summary['success_rate'] * 100:7.0f}% {flight:>12s}"
+        )
+    print("(* flight-time statistics over failed runs: no mission succeeded)")
+
+    summary = qof[custom.name]
     print(
         f"\ncustom scenario {custom.name!r}: "
-        f"{summary.success_rate * 100:.0f}% success, "
-        f"mean flight {summary.mean_flight_time:.1f} s"
+        f"{summary['success_rate'] * 100:.0f}% success, "
+        f"mean flight {summary['mean_flight_time']:.1f} s"
     )
     return 0
 

@@ -1,15 +1,20 @@
 """Result analysis: trajectory comparison, report formatting, paper reports.
 
+Every paper table and figure is read from JSONL result shards:
+:func:`~repro.analysis.report.build_report` aggregates them into one report
+dict, and the renderers format its ``groups`` and ``recovery`` rows.
+
 * :mod:`repro.analysis.trajectory` -- flight-trajectory metrics (path length,
   detour ratio, deviation from a reference flight) used for the Fig. 7
   trajectory analysis.
 * :mod:`repro.analysis.reporting` -- text rendering of the paper's tables and
-  figures (Table I, Table II, Fig. 3/4/6/8/9) from campaign results.
+  figures (Table I, Table II, Fig. 3/4/6/8/9) from report dicts.
 * :mod:`repro.analysis.detection_metrics` -- detection-accuracy metrics
   (TPR/FPR/precision/time-to-detect) from golden and injection runs.
 * :mod:`repro.analysis.report` -- the streaming paper-report engine behind
-  ``python -m repro report``: shard-merging aggregation, bootstrap confidence
-  intervals and the schema-validated ``repro-report-v1`` artifact.
+  ``python -m repro report`` and the benchmark tables: shard-merging
+  aggregation, bootstrap confidence intervals and the schema-validated
+  ``repro-report-v1`` artifact.
 """
 
 from repro.analysis.detection_metrics import (

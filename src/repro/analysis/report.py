@@ -39,7 +39,12 @@ from repro.analysis.detection_metrics import (
     detector_label,
     format_detection_accuracy_table,
 )
-from repro.analysis.reporting import format_success_rate_table, format_table
+from repro.analysis.reporting import (
+    format_distribution_table,
+    format_overhead_table,
+    format_success_rate_table,
+    format_table,
+)
 from repro.analysis.trajectory import analyze_trajectory
 from repro.core.overhead import KERNEL_STAGES, OverheadReport
 from repro.core.qof import (
@@ -47,6 +52,7 @@ from repro.core.qof import (
     derive_seed,
     failure_recovery_rate,
     qof_pool_confidence_intervals,
+    summarize_pools,
     worst_case_recovery,
 )
 from repro.core.results import JsonlResultStore, mission_result_from_dict
@@ -194,27 +200,13 @@ class GroupAggregate:
     # ------------------------------------------------------------- derived
     def qof_summary(self) -> QofSummary:
         """Success-only QoF summary (failure fallback flagged, as upstream)."""
-        success = sorted(self.success_flight_times)
-        pool_times = success or sorted(self.all_flight_times)
-        pool_energies = sorted(self.success_energies or self.all_energies)
-        if pool_times:
-            mean_time = sum(pool_times) / len(pool_times)
-            worst_time, best_time = pool_times[-1], pool_times[0]
-            mean_energy = sum(pool_energies) / len(pool_energies)
-            worst_energy = pool_energies[-1]
-        else:
-            mean_time = worst_time = best_time = 0.0
-            mean_energy = worst_energy = 0.0
-        return QofSummary(
-            num_runs=self.num_runs,
-            num_success=self.num_success,
-            success_rate=(self.num_success / self.num_runs) if self.num_runs else 0.0,
-            mean_flight_time=mean_time,
-            worst_flight_time=worst_time,
-            best_flight_time=best_time,
-            mean_energy=mean_energy,
-            worst_energy=worst_energy,
-            fell_back_to_failures=bool(self.num_runs and not self.num_success),
+        fell_back = bool(self.num_runs and not self.num_success)
+        return summarize_pools(
+            self.num_runs,
+            self.num_success,
+            self.all_flight_times if fell_back else self.success_flight_times,
+            self.all_energies if fell_back else self.success_energies,
+            fell_back_to_failures=fell_back,
         )
 
     def flight_time_distribution(self) -> Optional[Dict[str, float]]:
@@ -509,13 +501,7 @@ def _group_entry(
         "overhead": None,
     }
     if overhead is not None:
-        entry["overhead"] = {
-            "detector": overhead.detector,
-            "detection_fraction": dict(sorted(overhead.detection_fraction.items())),
-            "recovery_fraction": dict(sorted(overhead.recovery_fraction.items())),
-            "total_overhead": overhead.total_overhead,
-            "total_compute_time": overhead.total_compute_time,
-        }
+        entry["overhead"] = overhead.to_dict()
     return entry
 
 
@@ -964,32 +950,6 @@ def _render_qof(groups: List[Dict]) -> str:
     return table
 
 
-def _render_fig6(groups: List[Dict]) -> str:
-    rows = []
-    for group in groups:
-        dist = group["flight_time_distribution"]
-        if dist is None:
-            rows.append([_group_label(group), 0, "-", "-", "-", "-", "-", "-"])
-            continue
-        rows.append(
-            [
-                _group_label(group),
-                dist["count"],
-                f"{dist['min']:.1f}",
-                f"{dist['q1']:.1f}",
-                f"{dist['median']:.1f}",
-                f"{dist['q3']:.1f}",
-                f"{dist['max']:.1f}",
-                f"{dist['mean']:.1f}",
-            ]
-        )
-    return format_table(
-        ["Setting", "n", "min [s]", "q1", "median", "q3", "max [s]", "mean"],
-        rows,
-        title="Fig. 6: flight time distribution (successful runs)",
-    )
-
-
 def _render_fig7(groups: List[Dict]) -> str:
     rows = []
     for group in groups:
@@ -1021,27 +981,6 @@ def _render_fig7(groups: List[Dict]) -> str:
         rows,
         title="Fig. 7: trajectory metrics",
     )
-
-
-def _render_table2(groups: List[Dict]) -> str:
-    lines = ["Table II: compute time overhead of detection and recovery"]
-    rendered = False
-    for group in groups:
-        overhead = group["overhead"]
-        if overhead is None:
-            continue
-        rendered = True
-        report = OverheadReport(
-            detector=overhead["detector"], environment=group["environment"]
-        )
-        report.detection_fraction.update(overhead["detection_fraction"])
-        report.recovery_fraction.update(overhead["recovery_fraction"])
-        report.total_compute_time = overhead["total_compute_time"]
-        lines.append(f"[{group['environment']}] {_group_label(group)}")
-        lines.extend("  " + row for row in report.rows())
-    if not rendered:
-        lines.append("  (no detection/recovery runs in the stores)")
-    return "\n".join(lines)
 
 
 def _render_detection(accuracy_rows: List[Dict]) -> str:
@@ -1130,9 +1069,19 @@ def render_report(report: Dict) -> str:
         "\n".join(header),
         _render_table1(groups),
         _render_qof(groups),
-        _render_fig6(groups),
+        format_distribution_table(
+            [(_group_label(group), group["flight_time_distribution"]) for group in groups],
+            title="Fig. 6: flight time distribution (successful runs)",
+        ),
         _render_fig7(groups),
-        _render_table2(groups),
+        format_overhead_table(
+            (
+                f"[{group['environment']}] {_group_label(group)}",
+                OverheadReport.from_dict(group["overhead"], group["environment"]),
+            )
+            for group in groups
+            if group["overhead"] is not None
+        ),
         _render_detection(report["detection_accuracy"]),
         _render_recovery(report["recovery"]),
     ]

@@ -1,17 +1,16 @@
 """Text rendering of the paper's tables and figures.
 
 The benchmark harnesses regenerate every evaluation artefact of the paper as a
-text table (one per Table/Fig.); the helpers here do the formatting so that
-benches and examples share the same presentation.
+text table (one per Table/Fig.) from a :func:`~repro.analysis.report.build_report`
+dict; the helpers here do the formatting, so benches, examples and
+``repro report`` share one presentation.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.overhead import OverheadReport
-from repro.core.results import DistributionStats, distribution_stats
 
 
 def format_table(
@@ -58,50 +57,37 @@ def format_success_rate_table(
 
 
 def format_distribution_table(
-    distributions: Mapping[str, Iterable[float]],
+    distributions: Iterable[Tuple[str, Optional[Mapping[str, float]]]],
     title: str = "Flight time distribution",
     unit: str = "s",
 ) -> str:
-    """Render box-plot-style five-number summaries, one row per label."""
+    """Render box-plot-style five-number summaries, one row per ``(label, summary)``.
+
+    Each summary is a report group's ``flight_time_distribution``
+    (:meth:`~repro.analysis.report.GroupAggregate.flight_time_distribution`);
+    an empty sample (``None``) renders as ``-`` cells, so it cannot be
+    mistaken for a sample of genuinely zero flight times.
+    """
     headers = ["Setting", "n", f"min [{unit}]", "q1", "median", "q3", f"max [{unit}]", "mean"]
-    rows = []
-
-    def cell(value: float) -> str:
-        # An empty sample has NaN statistics; render `-` cells so it cannot
-        # be mistaken for a sample of genuinely zero flight times.
-        return "-" if math.isnan(value) else f"{value:.1f}"
-
-    for label, values in distributions.items():
-        stats: DistributionStats = distribution_stats(values)
-        rows.append(
-            [
-                label,
-                stats.count,
-                cell(stats.minimum),
-                cell(stats.q1),
-                cell(stats.median),
-                cell(stats.q3),
-                cell(stats.maximum),
-                cell(stats.mean),
-            ]
-        )
+    stats = ("min", "q1", "median", "q3", "max", "mean")
+    rows = [
+        [label, 0, *("-" for _ in stats)]
+        if dist is None
+        else [label, dist["count"], *(f"{dist[name]:.1f}" for name in stats)]
+        for label, dist in distributions
+    ]
     return format_table(headers, rows, title=title)
 
 
 def format_overhead_table(
-    reports: Mapping[str, OverheadReport],
+    blocks: Iterable[Tuple[str, OverheadReport]],
     title: str = "Table II: compute time overhead of detection and recovery",
 ) -> str:
-    """Render a Table-II-style overhead table, one column block per environment."""
+    """Render a Table-II-style overhead table, one ``(heading, report)`` block each."""
     lines: List[str] = [title]
-    for env, report in reports.items():
-        lines.append(f"[{env}] detector={report.detector}")
+    for heading, report in blocks:
+        lines.append(heading)
         lines.extend("  " + row for row in report.rows())
+    if len(lines) == 1:
+        lines.append("  (no detection/recovery runs in the stores)")
     return "\n".join(lines)
-
-
-def format_percentage_map(values: Dict[str, float], title: str) -> str:
-    """Render a simple label -> percentage listing."""
-    headers = ["Item", "Value"]
-    rows = [[key, f"{value * 100:.1f}%"] for key, value in values.items()]
-    return format_table(headers, rows, title=title)

@@ -580,12 +580,15 @@ def _run_adaptive_campaign(
             flush=True,
         )
 
+    failures: List = []
     start = time.perf_counter()
     plan = driver.run(
         executor=executor,
         store=store,
         resume=not args.no_resume,
         on_result=None if args.quiet else progress,
+        policy=ResiliencePolicy.from_knobs(),
+        on_failure=failures.append,
     )
     elapsed = time.perf_counter() - start
 
@@ -602,6 +605,8 @@ def _run_adaptive_campaign(
     )
     if plan["boundaries"]:
         print(_adaptive_boundary_table(plan))
+    if failures:
+        print(_failure_table(failures))
     plan_path = args.plan_out if args.plan_out is not None else Path(DEFAULT_PLAN_NAME)
     write_plan(plan, plan_path)
     print(f"plan: {plan_path} (schema {plan['schema']})")

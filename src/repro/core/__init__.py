@@ -21,9 +21,8 @@ analysis framework for ROS-based autonomous systems.  The package contains
   process-pool executors with streaming JSONL persistence and resume,
 * :mod:`repro.core.overhead` -- detection/recovery compute-overhead
   accounting (Table II),
-* :mod:`repro.core.results` -- distribution statistics plus the JSONL
-  mission-result serialisation used by the execution engine and the
-  benchmark harnesses.
+* :mod:`repro.core.results` -- the JSONL mission-result shards the
+  execution engine streams to and every paper table is read from.
 """
 
 from repro.core.adaptive import (
@@ -39,8 +38,6 @@ from repro.core.adaptive import (
 from repro.core.campaign import (
     Campaign,
     CampaignConfig,
-    CampaignResult,
-    RunRecord,
     RunSetting,
 )
 from repro.core.executor import (
@@ -62,26 +59,21 @@ from repro.core.fault import (
     random_bit_for_field,
 )
 from repro.core.injector import FaultInjectorNode, FaultPlan
-from repro.core.overhead import OverheadReport, compute_overhead
+from repro.core.overhead import OverheadReport
 from repro.core.qof import (
     ConfidenceInterval,
-    QofMetrics,
     QofSummary,
     bootstrap_ci,
     derive_seed,
-    qof_confidence_intervals,
     qof_pool_confidence_intervals,
     summarize_runs,
     wilson_interval,
 )
 from repro.core.results import (
-    DistributionStats,
     JsonlResultStore,
-    distribution_stats,
     mission_result_from_dict,
     mission_result_to_dict,
     mission_results_equal,
-    recovery_percentage,
 )
 
 __all__ = [
@@ -105,7 +97,6 @@ __all__ = [
     "corrupt_message_field",
     "FaultInjectorNode",
     "FaultPlan",
-    "QofMetrics",
     "QofSummary",
     "ConfidenceInterval",
     "bootstrap_ci",
@@ -119,17 +110,10 @@ __all__ = [
     "validate_plan",
     "validate_plan_file",
     "write_plan",
-    "qof_confidence_intervals",
     "qof_pool_confidence_intervals",
     "summarize_runs",
     "Campaign",
     "CampaignConfig",
-    "CampaignResult",
-    "RunRecord",
     "RunSetting",
     "OverheadReport",
-    "compute_overhead",
-    "DistributionStats",
-    "distribution_stats",
-    "recovery_percentage",
 ]

@@ -54,6 +54,7 @@ from repro.core.executor import (
 )
 from repro.core.injector import FaultPlan
 from repro.core.qof import ConfidenceInterval, derive_seed, wilson_interval
+from repro.core.resilience import PASS_THROUGH, ResiliencePolicy
 from repro.core.results import JsonlResultStore
 from repro.core import shape
 from repro.scenarios import Scenario, resolve_scenario
@@ -470,12 +471,23 @@ class AdaptiveDriver:
         store: Optional[JsonlResultStore] = None,
         resume: bool = True,
         on_result: Optional[Callable[[RunSpec, object], None]] = None,
+        policy: ResiliencePolicy = PASS_THROUGH,
+        on_failure: Optional[Callable[[object], None]] = None,
     ) -> Dict:
         """Run the adaptive search and return the ``adaptive-plan-v1`` dict.
 
-        ``executor``/``store``/``resume``/``on_result`` are forwarded to
-        :meth:`Campaign.run_specs` unchanged, so parallel dispatch, JSONL
-        streaming and shard resume behave exactly as in exhaustive campaigns.
+        ``executor``/``store``/``resume``/``on_result``/``policy``/
+        ``on_failure`` are forwarded to :meth:`Campaign.run_specs` unchanged,
+        in the sampling rounds and in the bisection probes, so parallel
+        dispatch, JSONL streaming, shard resume and failure capture behave
+        exactly as in exhaustive campaigns.
+
+        Under a capturing ``policy`` a spec can end with no surviving result
+        (it failed or was quarantined).  Such a spec still counts as a run of
+        its cell, one that did not succeed, and a bisection probe without a
+        result counts as not surviving.  So every allocated spec is accounted
+        for in the plan, and a harness failure can only lower a cell's
+        success rate.
         """
         config = self.config
         cells: Dict[CellKey, CellState] = {
@@ -509,6 +521,8 @@ class AdaptiveDriver:
                 store=store,
                 resume=resume,
                 on_result=on_result,
+                policy=policy,
+                on_failure=on_failure,
             )
             allocations: List[Dict] = []
             position = 0
@@ -516,7 +530,7 @@ class AdaptiveDriver:
                 cell_results = results[position : position + len(specs)]
                 position += len(specs)
                 state.runs += len(specs)
-                state.successes += sum(1 for r in cell_results if r.success)
+                state.successes += sum(1 for r in cell_results if r is not None and r.success)
                 keys = [spec.key() for spec in specs]
                 state.spec_keys.extend(keys)
                 allocations.append(
@@ -551,7 +565,13 @@ class AdaptiveDriver:
                 state.stop_reason = exhausted_reason
 
         boundaries, probe_runs = self._bisect_phase(
-            cells, used, executor=executor, store=store, resume=resume
+            cells,
+            used,
+            executor=executor,
+            store=store,
+            resume=resume,
+            policy=policy,
+            on_failure=on_failure,
         )
         used += probe_runs
 
@@ -566,6 +586,8 @@ class AdaptiveDriver:
         executor: Optional[object],
         store: Optional[JsonlResultStore],
         resume: bool,
+        policy: ResiliencePolicy,
+        on_failure: Optional[Callable[[object], None]],
     ) -> Tuple[List[Dict], int]:
         """Per-stage vulnerability-boundary bisection (budget permitting)."""
         config = self.config
@@ -585,8 +607,10 @@ class AdaptiveDriver:
                     executor=executor,
                     store=store,
                     resume=resume,
+                    policy=policy,
+                    on_failure=on_failure,
                 )[0]
-                return bool(result.success)
+                return result is not None and bool(result.success)
 
             outcome = bisect_boundary(
                 oracle,

@@ -4,15 +4,17 @@ Section VI of the paper evaluates each environment with 100 error-free
 ("golden") runs plus 900 single-bit injections split over three settings --
 plain fault injection (FI), detection & recovery with the Gaussian scheme
 (D&R(G)) and with the autoencoder scheme (D&R(A)) -- with 100 injections per
-PPC stage in each setting.  The :class:`Campaign` class reproduces that
-structure with configurable run counts, and additionally provides the
-per-kernel (Fig. 3) and per-inter-kernel-state (Fig. 4) characterisation
-campaigns.
+PPC stage in each setting.  The :class:`Campaign` class turns that structure,
+with configurable run counts, into lists of run specs, plus the per-kernel
+(Fig. 3) and per-inter-kernel-state (Fig. 4) characterisation campaigns, and
+flies them with :meth:`Campaign.run_specs`.  Streamed to a JSONL shard, the
+flown campaign is the one input of every paper table
+(:func:`repro.analysis.report.build_report`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -21,16 +23,13 @@ import numpy as np
 from repro.core import knobs
 from repro.core.executor import (
     DETECTOR_AUTOENCODER,
-    DETECTOR_CUSTOM,
     DETECTOR_GAUSSIAN,
     RunSpec,
     SerialExecutor,
-    execute_spec,
     execute_specs,
 )
 from repro.core.fault import BitField
 from repro.core.injector import FaultPlan
-from repro.core.qof import QofSummary, summarize_runs
 from repro.core.resilience import PASS_THROUGH, ResiliencePolicy
 from repro.core.results import JsonlResultStore
 from repro.detection.training import train_detectors
@@ -55,10 +54,6 @@ class RunSetting:
     #: ALL plus the detector-on-golden false-positive settings (not part of
     #: the default campaign; opt in via ``--settings`` or the spec methods).
     EXTENDED = (*ALL, DR_GOLDEN_GAUSSIAN, DR_GOLDEN_AUTOENCODER)
-
-
-#: MissionResult is the per-run record type used throughout the campaigns.
-RunRecord = MissionResult
 
 
 def runs_scale() -> float:
@@ -108,46 +103,6 @@ class CampaignConfig:
     detector_cache_dir: Optional[Path] = None  # repro-lint: disable=RL008 cache *location* only; detector weights are keyed by training content, not path
 
 
-@dataclass
-class CampaignResult:
-    """All runs of one campaign, grouped by setting label."""
-
-    config: CampaignConfig
-    runs: Dict[str, List[RunRecord]] = field(default_factory=dict)
-
-    def add(self, setting: str, result: RunRecord) -> None:
-        """Record one run under ``setting``."""
-        self.runs.setdefault(setting, []).append(result)
-
-    def extend(self, setting: str, results: Iterable[RunRecord]) -> None:
-        """Record several runs under ``setting``."""
-        self.runs.setdefault(setting, []).extend(results)
-
-    def results(self, setting: str) -> List[RunRecord]:
-        """All runs recorded under ``setting``."""
-        return list(self.runs.get(setting, []))
-
-    def summary(self, setting: str) -> QofSummary:
-        """QoF summary of the runs of ``setting``."""
-        return summarize_runs(self.results(setting))
-
-    def success_rate(self, setting: str) -> float:
-        """Mission success rate of ``setting``."""
-        return self.summary(setting).success_rate
-
-    def flight_times(self, setting: str, successful_only: bool = True) -> List[float]:
-        """Flight times of the (successful) runs of ``setting``."""
-        return [
-            r.flight_time
-            for r in self.results(setting)
-            if r.success or not successful_only
-        ]
-
-    def settings(self) -> List[str]:
-        """All setting labels with at least one run."""
-        return sorted(self.runs)
-
-
 class Campaign:
     """Drives golden, fault-injection and D&R runs for one environment.
 
@@ -155,10 +110,11 @@ class Campaign:
     :class:`~repro.core.executor.RunSpec`\\ s (``golden_specs``,
     ``stage_injection_specs``, ``kernel_injection_specs``,
     ``state_injection_specs``) and dispatches them through the execution
-    engine -- serially or across worker processes, optionally streamed to a
-    resumable :class:`~repro.core.results.JsonlResultStore`.  The high-level
-    entry point is :meth:`full_evaluation`; the raw spec lists plus
-    :meth:`run_specs` support custom orchestration.
+    engine with :meth:`run_specs` -- serially or across worker processes,
+    optionally streamed to a resumable
+    :class:`~repro.core.results.JsonlResultStore`.  :meth:`evaluation_specs`
+    is the Table I / Fig. 6 / Table II campaign; the report engine reads the
+    flown shard back.
 
     Detectors (``gad``/``aad``) may be passed in pre-trained; otherwise
     :meth:`ensure_detectors` trains them, or loads them from
@@ -216,49 +172,7 @@ class Campaign:
         pool_size = scaled_count(self.config.num_golden)
         return [self.config.seed + i for i in range(pool_size)]
 
-    # ------------------------------------------------------------ single runs
-    def run_one(
-        self,
-        seed: int,
-        setting: str,
-        fault_plan: Optional[FaultPlan] = None,
-        detector=None,
-        planner_name: Optional[str] = None,
-        platform: Optional[str] = None,
-    ) -> RunRecord:
-        """Run one mission with the given fault plan and detector."""
-        tag, custom = self._detector_tag(detector)
-        self._train_missing_detectors([tag])
-        spec = RunSpec(
-            config=self.config,
-            setting=setting,
-            seed=seed,
-            fault_plan=fault_plan,
-            detector=tag,
-            planner_name=planner_name,
-            platform=platform,
-        )
-        return execute_spec(spec, self.detector_objects(custom))
-
     # ----------------------------------------------------- engine integration
-    def _detector_tag(self, detector) -> Tuple[Optional[str], Optional[Dict[str, object]]]:
-        """Map a detector argument (``None``, tag string or live object) to a
-        :class:`RunSpec` detector tag plus any extra tag->object mapping."""
-        if detector is None:
-            return None, None
-        if isinstance(detector, str):
-            if detector not in (DETECTOR_GAUSSIAN, DETECTOR_AUTOENCODER):
-                raise ValueError(
-                    f"unknown detector tag {detector!r}; expected "
-                    f"{DETECTOR_GAUSSIAN!r} or {DETECTOR_AUTOENCODER!r}"
-                )
-            return detector, None
-        if detector is self.gad:
-            return DETECTOR_GAUSSIAN, None
-        if detector is self.aad:
-            return DETECTOR_AUTOENCODER, None
-        return DETECTOR_CUSTOM, {DETECTOR_CUSTOM: detector}
-
     def detector_objects(
         self, extra: Optional[Mapping[str, object]] = None
     ) -> Dict[str, object]:
@@ -282,10 +196,11 @@ class Campaign:
         on_result=None,
         policy: ResiliencePolicy = PASS_THROUGH,
         on_failure=None,
-    ) -> List[RunRecord]:
+    ) -> List[Optional[MissionResult]]:
         """Dispatch a batch of run specs through the execution engine.
 
-        ``executor`` defaults to a :class:`SerialExecutor`; pass a
+        Returns one record per spec, in spec order.  ``executor`` defaults to
+        the campaign's executor, else a :class:`SerialExecutor`; pass a
         :class:`~repro.core.executor.ParallelExecutor` (or any executor
         whose ``map`` takes ``on_result``, ``detectors``, ``policy`` and
         ``on_failure``) to fan the batch out.  With a ``store``, results
@@ -551,135 +466,3 @@ class Campaign:
         if scenarios:
             specs += self.scenario_sweep_specs(scenarios)
         return specs
-
-    # -------------------------------------------------------------- campaigns
-    def run_golden(
-        self, count: Optional[int] = None, executor=None
-    ) -> List[RunRecord]:
-        """Error-free baseline runs."""
-        return self.run_specs(self.golden_specs(count), executor=executor)
-
-    def run_stage_injections(
-        self,
-        setting: str,
-        detector=None,
-        count_per_stage: Optional[int] = None,
-        stages: Sequence[str] = topics.PPC_STAGES,
-        bit_field: Optional[BitField] = None,
-        executor=None,
-    ) -> List[RunRecord]:
-        """Single-bit injections split evenly over the PPC stages.
-
-        ``detector`` accepts a live detector object (as before) or a spec
-        detector tag; either way the runs go through the execution engine.
-        """
-        tag, extra = self._detector_tag(detector)
-        specs = self.stage_injection_specs(
-            setting,
-            detector=tag,
-            count_per_stage=count_per_stage,
-            stages=stages,
-            bit_field=bit_field,
-        )
-        return self.run_specs(specs, executor=executor, extra_detectors=extra)
-
-    def run_kernel_injections(
-        self,
-        kernel_specs: Sequence[Tuple[str, str, str]],
-        count_per_kernel: Optional[int] = None,
-        bit_field: Optional[BitField] = None,
-        executor=None,
-    ) -> Dict[str, List[RunRecord]]:
-        """Per-kernel characterisation (Fig. 3), grouped by kernel label.
-
-        ``kernel_specs`` is a sequence of ``(label, kernel_node_name,
-        planner_name)`` triples; the planner variants (RRT, RRTConnect, RRT*)
-        are expressed by running the pipeline with that planner and targeting
-        the motion planner kernel.
-        """
-        specs = self.kernel_injection_specs(
-            kernel_specs, count_per_kernel=count_per_kernel, bit_field=bit_field
-        )
-        results = self.run_specs(specs, executor=executor)
-        by_kernel: Dict[str, List[RunRecord]] = {}
-        for spec, record in zip(specs, results):
-            by_kernel.setdefault(spec.setting.split(":", 1)[1], []).append(record)
-        return by_kernel
-
-    def run_state_injections(
-        self,
-        state_names: Sequence[str],
-        count_per_state: Optional[int] = None,
-        bit_field: Optional[BitField] = None,
-        executor=None,
-    ) -> Dict[str, List[RunRecord]]:
-        """Per-inter-kernel-state characterisation (Fig. 4), grouped by state."""
-        specs = self.state_injection_specs(
-            state_names, count_per_state=count_per_state, bit_field=bit_field
-        )
-        results = self.run_specs(specs, executor=executor)
-        by_state: Dict[str, List[RunRecord]] = {}
-        for spec, record in zip(specs, results):
-            by_state.setdefault(spec.setting.split(":", 1)[1], []).append(record)
-        return by_state
-
-    def run_scenario_sweep(
-        self,
-        scenarios: Sequence[Union[str, Scenario]],
-        count: Optional[int] = None,
-        executor=None,
-        store: Optional[JsonlResultStore] = None,
-        resume: bool = True,
-    ) -> Dict[str, List[RunRecord]]:
-        """Error-free runs across a list of scenarios, grouped by scenario name."""
-        specs = self.scenario_sweep_specs(scenarios, count=count)
-        results = self.run_specs(specs, executor=executor, store=store, resume=resume)
-        by_scenario: Dict[str, List[RunRecord]] = {}
-        for spec, record in zip(specs, results):
-            by_scenario.setdefault(spec.setting.split(":", 1)[1], []).append(record)
-        return by_scenario
-
-    def full_evaluation(
-        self,
-        executor=None,
-        store: Optional[JsonlResultStore] = None,
-        resume: bool = True,
-        scenarios: Optional[Sequence[Union[str, Scenario]]] = None,
-    ) -> CampaignResult:
-        """Golden + FI + D&R(Gaussian) + D&R(Autoencoder) for one environment.
-
-        This is the campaign behind Table I, Fig. 6 and Table II: the
-        error-free baseline, single-bit injections split over the three PPC
-        stages, and the same injections under Gaussian- and autoencoder-based
-        detection & recovery.
-
-        Parameters
-        ----------
-        executor:
-            Execution engine override (default: the campaign's engine, or
-            serial).  Pass a :class:`~repro.core.executor.ParallelExecutor`
-            to fan missions out over worker processes; results are
-            bit-identical to a serial run.
-        store:
-            :class:`~repro.core.results.JsonlResultStore` streaming each
-            completed mission to disk (one flushed JSON line per mission).
-        resume:
-            With a ``store``, skip every spec whose deterministic key is
-            already on disk -- an interrupted campaign picks up where it
-            left off.  ``False`` re-flies everything.
-        scenarios:
-            Optional scenario names/objects; each adds one error-free batch
-            flown under that scenario, recorded under ``scenario:<name>``.
-
-        Returns
-        -------
-        CampaignResult
-            Per-setting mission records plus success-rate/flight-time/energy
-            accessors.
-        """
-        specs = self.evaluation_specs(scenarios=scenarios)
-        results = self.run_specs(specs, executor=executor, store=store, resume=resume)
-        outcome = CampaignResult(config=self.config)
-        for spec, record in zip(specs, results):
-            outcome.add(spec.setting, record)
-        return outcome

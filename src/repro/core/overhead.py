@@ -3,17 +3,19 @@
 Table II of the paper reports, per environment, the detection (DET) and
 recovery (RECOV) compute-time overhead of each PPC stage as a percentage of
 the pipeline's total compute time, for the Gaussian scheme, and a single
-"PPC" row for the autoencoder scheme.  The numbers here are produced from the
-per-node accounting gathered during D&R campaign runs: kernels charge their
-nominal latency per invocation and their recomputation latency under the
+"PPC" row for the autoencoder scheme.  The numbers come from the per-node
+accounting gathered during D&R campaign runs: kernels charge their nominal
+latency per invocation and their recomputation latency under the
 ``recovery`` category, while the detection node charges per-check detection
-latency under ``detection:<stage>`` (GAD) or ``detection:ppc`` (AAD).
+latency under ``detection:<stage>`` (GAD) or ``detection:ppc`` (AAD).  The
+report engine (:meth:`repro.analysis.report.GroupAggregate.overhead_report`)
+turns those charges into an :class:`OverheadReport` per D&R cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, List, Mapping
 
 from repro import topics
 
@@ -44,17 +46,17 @@ class OverheadReport:
         return sum(self.detection_fraction.values()) + sum(self.recovery_fraction.values())
 
     def stages(self) -> List[str]:
-        """Every stage with a detection *or* recovery fraction, in a stable order.
+        """Every stage charged detection *or* recovery time, in pipeline order.
 
-        The AAD scheme detects under ``"ppc"`` but recovers under
-        ``"control"``; iterating only the detection keys (the historical
-        behaviour) silently dropped the control RECOV row while the ``sum``
-        line still included it, so the printed rows did not add up to the
-        printed total.
+        ``ppc`` (the AAD scheme's single detection row) comes first, then the
+        PPC stages.  The AAD scheme detects under ``"ppc"`` but recovers under
+        ``"control"``, so both fraction maps are walked: iterating only the
+        detection keys dropped the control RECOV row while the ``sum`` line
+        still included it.
         """
-        ordered = dict.fromkeys(self.detection_fraction)
-        ordered.update(dict.fromkeys(self.recovery_fraction))
-        return list(ordered) or list(topics.PPC_STAGES)
+        charged = set(self.detection_fraction) | set(self.recovery_fraction)
+        order = ("ppc", *topics.PPC_STAGES)
+        return [stage for stage in order if stage in charged] + sorted(charged - set(order))
 
     def rows(self) -> List[str]:
         """Human-readable rows mirroring Table II (rows sum to the sum line)."""
@@ -68,38 +70,23 @@ class OverheadReport:
         lines.append(f"{'sum':<12s} {self.total_overhead * 100:.4f}%")
         return lines
 
+    def to_dict(self) -> Dict:
+        """JSON form, as a report group's ``overhead`` entry holds it."""
+        return {
+            "detector": self.detector,
+            "detection_fraction": dict(sorted(self.detection_fraction.items())),
+            "recovery_fraction": dict(sorted(self.recovery_fraction.items())),
+            "total_overhead": self.total_overhead,
+            "total_compute_time": self.total_compute_time,
+        }
 
-def compute_overhead(results: Iterable, detector: str, environment: str = "") -> OverheadReport:
-    """Aggregate detection/recovery overhead over the runs of one setting.
-
-    ``results`` are :class:`~repro.pipeline.runner.MissionResult` records of
-    D&R runs with the given detector.  Overheads are fractions of the total
-    modelled compute time, averaged over runs by pooling times.
-    """
-    results = list(results)
-    total_compute = 0.0
-    detection_time: Dict[str, float] = {}
-    recovery_time: Dict[str, float] = {}
-
-    for result in results:
-        total_compute += result.total_compute_time
-        for node_name, categories in result.categories_by_node.items():
-            stage = KERNEL_STAGES.get(node_name)
-            for category, seconds in categories.items():
-                if category.startswith("detection:"):
-                    key = category.split(":", 1)[1]
-                    detection_time[key] = detection_time.get(key, 0.0) + seconds
-                elif category == "recovery" and stage is not None:
-                    recovery_time[stage] = recovery_time.get(stage, 0.0) + seconds
-
-    report = OverheadReport(detector=detector, environment=environment)
-    report.total_compute_time = total_compute
-    if total_compute <= 0:
-        return report
-    stages = ["ppc"] if detector.lower() == "aad" else list(topics.PPC_STAGES)
-    for stage in stages:
-        report.detection_fraction[stage] = detection_time.get(stage, 0.0) / total_compute
-    recovery_stages = topics.PPC_STAGES if detector.lower() != "aad" else ("control",)
-    for stage in recovery_stages:
-        report.recovery_fraction[stage] = recovery_time.get(stage, 0.0) / total_compute
-    return report
+    @classmethod
+    def from_dict(cls, data: Mapping, environment: str = "") -> "OverheadReport":
+        """Inverse of :meth:`to_dict` (``total_overhead`` is derived, not read)."""
+        return cls(
+            detector=data["detector"],
+            environment=environment,
+            detection_fraction=dict(data["detection_fraction"]),
+            recovery_fraction=dict(data["recovery_fraction"]),
+            total_compute_time=data["total_compute_time"],
+        )

@@ -13,27 +13,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QofMetrics:
-    """QoF metrics of a single mission."""
-
-    flight_time: float
-    success: bool
-    mission_energy: float
-
-    @classmethod
-    def from_result(cls, result) -> "QofMetrics":
-        """Build from a :class:`~repro.pipeline.runner.MissionResult`."""
-        return cls(
-            flight_time=float(result.flight_time),
-            success=bool(result.success),
-            mission_energy=float(result.mission_energy),
-        )
 
 
 @dataclass(frozen=True)
@@ -62,49 +44,31 @@ class QofSummary:
         return self.num_runs - self.num_success
 
 
-def summarize_runs(
-    results: Sequence,
-    successful_only: bool = True,
-    on_no_success: str = "fallback",
+def summarize_pools(
+    num_runs: int,
+    num_success: int,
+    flight_times: Iterable[float],
+    energies: Iterable[float],
+    fell_back_to_failures: bool = False,
 ) -> QofSummary:
-    """Aggregate QoF metrics over mission results.
+    """QoF summary of ``num_runs`` runs from the pools its statistics describe.
 
-    Flight time and energy statistics are computed over successful runs only
-    (matching Fig. 6: "the flight time of all successful cases"), unless
-    ``successful_only`` is False.
-
-    ``on_no_success`` selects what happens when ``successful_only`` is True
-    but no run succeeded: ``"fallback"`` averages the failed runs and flags
-    the summary via :attr:`QofSummary.fell_back_to_failures`; ``"nan"``
-    reports NaN statistics so downstream aggregation cannot silently mix
-    failed-run flight times into success-only comparisons.
+    ``flight_times`` and ``energies`` are the runs the flight-time and energy
+    statistics are taken over.  Both pools are sorted before summing: float
+    addition is not associative, so this is what makes a report's numbers
+    independent of the order its shards are read in.  Empty pools give 0.0
+    statistics.
     """
-    if on_no_success not in ("fallback", "nan"):
-        raise ValueError(
-            f"on_no_success must be 'fallback' or 'nan', got {on_no_success!r}"
-        )
-    results = list(results)
-    num_runs = len(results)
-    successes = [r for r in results if r.success]
-    num_success = len(successes)
-    fell_back = bool(successful_only and not successes and results)
-    if fell_back and on_no_success == "nan":
-        pool = []
-        empty_value = float("nan")
+    times = sorted(float(t) for t in flight_times)
+    pooled_energies = sorted(float(e) for e in energies)
+    if times:
+        mean_time = sum(times) / len(times)
+        worst_time, best_time = times[-1], times[0]
+        mean_energy = sum(pooled_energies) / len(pooled_energies)
+        worst_energy = pooled_energies[-1]
     else:
-        pool = successes if successful_only and successes else results
-        empty_value = 0.0
-    if pool:
-        times = np.array([r.flight_time for r in pool], dtype=float)
-        energies = np.array([r.mission_energy for r in pool], dtype=float)
-        mean_time = float(times.mean())
-        worst_time = float(times.max())
-        best_time = float(times.min())
-        mean_energy = float(energies.mean())
-        worst_energy = float(energies.max())
-    else:
-        mean_time = worst_time = best_time = empty_value
-        mean_energy = worst_energy = empty_value
+        mean_time = worst_time = best_time = 0.0
+        mean_energy = worst_energy = 0.0
     return QofSummary(
         num_runs=num_runs,
         num_success=num_success,
@@ -114,7 +78,29 @@ def summarize_runs(
         best_flight_time=best_time,
         mean_energy=mean_energy,
         worst_energy=worst_energy,
-        fell_back_to_failures=bool(fell_back and on_no_success == "fallback"),
+        fell_back_to_failures=fell_back_to_failures,
+    )
+
+
+def summarize_runs(results: Iterable, successful_only: bool = True) -> QofSummary:
+    """Aggregate QoF metrics over mission results.
+
+    Flight time and energy statistics are computed over successful runs only
+    (matching Fig. 6: "the flight time of all successful cases"), unless
+    ``successful_only`` is False.  When no run succeeded they describe the
+    failed runs instead, and :attr:`QofSummary.fell_back_to_failures` says
+    so.
+    """
+    results = list(results)
+    successes = [r for r in results if r.success]
+    fell_back = bool(successful_only and results and not successes)
+    pool = successes if successful_only and successes else results
+    return summarize_pools(
+        len(results),
+        len(successes),
+        [r.flight_time for r in pool],
+        [r.mission_energy for r in pool],
+        fell_back_to_failures=fell_back,
     )
 
 
@@ -286,8 +272,7 @@ def qof_pool_confidence_intervals(
     ``energies`` are the successful-run pools.  Pools are sorted here before
     resampling, so the intervals are invariant to the order the values are
     supplied in (shard-merge order independence).  This is the single place
-    that fixes the statistic list and the seed-offset convention -- the
-    report engine and :func:`qof_confidence_intervals` both delegate to it.
+    that fixes the statistic list and the seed-offset convention.
     """
     flags = sorted(success_flags)
     times = sorted(flight_times)
@@ -304,36 +289,6 @@ def qof_pool_confidence_intervals(
             pooled_energies, np.mean, confidence, n_resamples, seed + 3
         ),
     }
-
-
-def qof_confidence_intervals(
-    results: Sequence,
-    confidence: float = 0.95,
-    n_resamples: int = 1000,
-    seed: int = 0,
-) -> Dict[str, ConfidenceInterval]:
-    """Bootstrap CIs of the paper's QoF statistics over a set of runs.
-
-    Returns intervals for the success rate (over all runs) and for the mean
-    and worst flight time and mean energy (over successful runs, matching
-    Fig. 6's "all successful cases").
-    """
-    results = list(results)
-    return qof_pool_confidence_intervals(
-        success_flags=[1.0 if r.success else 0.0 for r in results],
-        flight_times=[float(r.flight_time) for r in results if r.success],
-        energies=[float(r.mission_energy) for r in results if r.success],
-        confidence=confidence,
-        n_resamples=n_resamples,
-        seed=seed,
-    )
-
-
-def flight_times(results: Iterable, successful_only: bool = True) -> List[float]:
-    """Flight times of (successful) runs as a plain list."""
-    return [
-        float(r.flight_time) for r in results if (r.success or not successful_only)
-    ]
 
 
 def worst_case_increase(baseline: QofSummary, other: QofSummary) -> float:

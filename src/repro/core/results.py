@@ -1,12 +1,10 @@
-"""Distribution statistics, JSONL result persistence and recovery helpers.
+"""JSONL result persistence: the one dataset every paper table is read from.
 
-The evaluation figures of the paper are box plots of flight-time
-distributions; this module provides the five-number summaries used to render
-them as text tables, plus the relative-recovery computations quoted in the
-text.  It also owns the streaming result persistence used by the campaign
-execution engine: :class:`MissionResult` records are serialised to one JSON
-object per line (JSONL), appended as missions complete, and read back to
-resume a partially-completed campaign.
+Campaigns stream :class:`MissionResult` records to a shard, one JSON object
+per line, appended as missions complete; a partially-completed campaign
+resumes from what its shard already holds.  The report engine
+(:func:`repro.analysis.report.build_report`) reads the same shards back to
+compute every table and figure.
 """
 
 from __future__ import annotations
@@ -15,69 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.pipeline.runner import MissionResult
 from repro.sim.airsim import FlightOutcome
-
-
-@dataclass(frozen=True)
-class DistributionStats:
-    """Five-number summary (plus mean/std) of a sample."""
-
-    count: int
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    mean: float
-    std: float
-
-
-def distribution_stats(values: Iterable[float]) -> DistributionStats:
-    """Compute the five-number summary of ``values``.
-
-    An empty sample yields ``count == 0`` and NaN statistics (it used to
-    yield all zeros, which rendered exactly like a sample of genuinely zero
-    flight times); :func:`~repro.analysis.reporting.format_distribution_table`
-    renders the NaN cells as ``-``.
-    """
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
-        nan = float("nan")
-        return DistributionStats(0, nan, nan, nan, nan, nan, nan, nan)
-    return DistributionStats(
-        count=int(data.size),
-        minimum=float(data.min()),
-        q1=float(np.percentile(data, 25)),
-        median=float(np.percentile(data, 50)),
-        q3=float(np.percentile(data, 75)),
-        maximum=float(data.max()),
-        mean=float(data.mean()),
-        std=float(data.std()),
-    )
-
-
-def recovery_percentage(golden_worst: float, faulty_worst: float, recovered_worst: float) -> float:
-    """Worst-case recovery percentage (0..1) given the three worst-case values."""
-    degradation = faulty_worst - golden_worst
-    if degradation <= 1e-9:
-        return 1.0
-    return (faulty_worst - recovered_worst) / degradation
-
-
-def iqr_outlier_count(values: Sequence[float]) -> int:
-    """Number of classic box-plot outliers (outside 1.5 IQR of the quartiles)."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size < 4:
-        return 0
-    q1, q3 = np.percentile(data, [25, 75])
-    iqr = q3 - q1
-    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    return int(((data < lo) | (data > hi)).sum())
 
 
 # --------------------------------------------------------- result serialisation
@@ -310,7 +251,7 @@ class JsonlResultStore:
     Typical use::
 
         store = JsonlResultStore("sparse.jsonl")
-        campaign.full_evaluation(store=store)        # streams + resumes
+        campaign.run_specs(campaign.evaluation_specs(), store=store)  # streams + resumes
         results = store.load_results()               # key -> MissionResult
         # `python -m repro summarize --results sparse.jsonl` renders a table.
 

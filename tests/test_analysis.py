@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.reporting import (
     format_distribution_table,
     format_overhead_table,
-    format_percentage_map,
     format_success_rate_table,
     format_table,
 )
@@ -85,15 +84,29 @@ class TestReporting:
         assert "85.0%" in text
         assert "-" in text  # missing dense/injection cell
 
+    @staticmethod
+    def _dist(values):
+        return {
+            "count": len(values),
+            "min": min(values),
+            "q1": values[0],
+            "median": values[len(values) // 2],
+            "q3": values[-1],
+            "max": max(values),
+            "mean": sum(values) / len(values),
+        }
+
     def test_distribution_table(self):
-        text = format_distribution_table({"golden": [10, 11, 12], "fi": [10, 20, 30]})
+        text = format_distribution_table(
+            [("golden", self._dist([10, 11, 12])), ("fi", self._dist([10, 20, 30]))]
+        )
         assert "golden" in text and "fi" in text
         assert "30.0" in text
 
     def test_distribution_table_empty_sample_renders_dashes(self):
         """Regression: an empty sample used to render as a real 0.0 row,
         indistinguishable from genuinely zero flight times."""
-        text = format_distribution_table({"empty": [], "zero": [0.0, 0.0]})
+        text = format_distribution_table([("empty", None), ("zero", self._dist([0.0, 0.0]))])
         empty_row = next(line for line in text.splitlines() if line.startswith("empty"))
         zero_row = next(line for line in text.splitlines() if line.startswith("zero"))
         assert "0.0" not in empty_row
@@ -108,9 +121,33 @@ class TestReporting:
             detection_fraction={"perception": 1e-6},
             recovery_fraction={"perception": 0.01},
         )
-        text = format_overhead_table({"sparse": report})
-        assert "sparse" in text
+        text = format_overhead_table([("[sparse] detector=gad", report)])
+        assert text.splitlines()[1] == "[sparse] detector=gad"
         assert "RECOV" in text
+
+    def test_overhead_table_without_blocks_says_so(self):
+        assert "no detection/recovery runs" in format_overhead_table([])
+
+    def test_overhead_rows_follow_the_pipeline_order(self):
+        report = OverheadReport(
+            detector="gad",
+            environment="farm",
+            detection_fraction={"control": 1e-6, "perception": 1e-6, "planning": 1e-6},
+            recovery_fraction={"planning": 0.01},
+        )
+        assert report.stages() == ["perception", "planning", "control"]
+
+    def test_overhead_report_round_trips_through_its_dict(self):
+        report = OverheadReport(
+            detector="aad",
+            environment="dense",
+            detection_fraction={"ppc": 6.1e-5},
+            recovery_fraction={"control": 1.0e-5},
+            total_compute_time=123.0,
+        )
+        again = OverheadReport.from_dict(report.to_dict(), "dense")
+        assert again == report
+        assert again.rows() == report.rows()
 
     def test_overhead_rows_cover_recovery_only_stages(self):
         """Regression: the AAD report detects under "ppc" but recovers under
@@ -139,7 +176,3 @@ class TestReporting:
             printed += float(parts[2].rstrip("%")) + float(parts[4].rstrip("%"))
         assert printed / 100 == pytest.approx(report.total_overhead, abs=1e-7)
         assert f"{report.total_overhead * 100:.4f}%" in report.rows()[-1]
-
-    def test_percentage_map(self):
-        text = format_percentage_map({"recovered": 0.875}, title="Recovery")
-        assert "87.5%" in text

@@ -23,6 +23,8 @@ from repro.analysis.detection_metrics import (
 )
 from repro.analysis.report import (
     REPORT_SCHEMA,
+    GroupAggregate,
+    GroupKey,
     StreamingAggregator,
     build_report,
     render_report,
@@ -30,7 +32,7 @@ from repro.analysis.report import (
     write_report,
 )
 from repro.cli import main
-from repro.core.qof import bootstrap_ci, qof_confidence_intervals
+from repro.core.qof import bootstrap_ci, qof_pool_confidence_intervals, summarize_runs
 from repro.core.results import (
     JsonlResultStore,
     mission_result_from_dict,
@@ -643,15 +645,96 @@ class TestBootstrapCI:
             bootstrap_ci([1.0, 2.0], np.mean, n_resamples=0)
 
     def test_qof_intervals_order_invariant(self):
-        results = [
-            _fake_result(flight_time=t, success=s)
-            for t, s in [(10.0, True), (12.0, True), (14.0, True), (20.0, False)]
-        ]
-        forward = qof_confidence_intervals(results, seed=3)
-        backward = qof_confidence_intervals(list(reversed(results)), seed=3)
+        flags = [1.0, 1.0, 1.0, 0.0]
+        times = [10.0, 12.0, 14.0]
+        energies = [1000.0, 1100.0, 1200.0]
+        forward = qof_pool_confidence_intervals(flags, times, energies, seed=3)
+        backward = qof_pool_confidence_intervals(
+            flags[::-1], times[::-1], energies[::-1], seed=3
+        )
         for name in forward:
             assert forward[name] == backward[name]
         assert forward["success_rate"].value == pytest.approx(0.75)
+
+
+def _group(results):
+    group = GroupAggregate(key=GroupKey("dr_gaussian", "", "farm"))
+    for result in results:
+        group.add(result)
+    return group
+
+
+class TestGroupStatistics:
+    """The report's group statistics are the only implementation of each
+    paper statistic; these pin them down on known samples."""
+
+    # Flight times whose float sum depends on the summation order.
+    TIMES = [0.1, 0.2, 0.3, 1e-17, 13.7, 14.2, 0.7]
+
+    def test_qof_summary_equals_summarize_runs_in_any_order(self):
+        results = [
+            _fake_result(flight_time=t, success=i != 2) for i, t in enumerate(self.TIMES)
+        ]
+        summary = summarize_runs(results)
+        assert _group(results).qof_summary() == summary
+        assert _group(results[::-1]).qof_summary() == summary
+        assert summarize_runs(results[::-1]) == summary
+        assert summary.num_success == 6 and summary.worst_flight_time == 14.2
+
+    def test_all_failed_summary_falls_back_to_the_failed_runs(self):
+        results = [_fake_result(flight_time=t, success=False) for t in (40.0, 60.0)]
+        summary = _group(results).qof_summary()
+        assert summary == summarize_runs(results)
+        assert summary.fell_back_to_failures
+        assert summary.mean_flight_time == pytest.approx(50.0)
+
+    def test_five_number_summary_matches_numpy(self):
+        times = [5.0, 1.0, 4.0, 2.0, 3.0, 9.5]
+        dist = _group(_fake_result(flight_time=t) for t in times).flight_time_distribution()
+        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        assert dist == {
+            "count": 6,
+            "min": 1.0,
+            "q1": pytest.approx(q1),
+            "median": pytest.approx(median),
+            "q3": pytest.approx(q3),
+            "max": 9.5,
+            "mean": pytest.approx(np.mean(times)),
+        }
+
+    def test_empty_five_number_summary_is_none(self):
+        assert _group([_fake_result(success=False)]).flight_time_distribution() is None
+
+    def test_overhead_fractions_pool_every_run(self):
+        def charged(compute, categories):
+            return replace(
+                _fake_result(),
+                compute_time={"octomap_generation": compute},
+                categories_by_node=categories,
+            )
+
+        results = [
+            charged(
+                10.0,
+                {
+                    "octomap_generation": {"compute": 9.0, "recovery": 1.0},
+                    "anomaly_detection": {"detection:perception": 0.001},
+                },
+            ),
+            charged(30.0, {"pid_control": {"recovery": 0.4}}),
+        ]
+        report = _group(results).overhead_report("gaussian")
+        assert report.total_compute_time == 40.0
+        assert report.detection_fraction == {"perception": pytest.approx(0.001 / 40.0)}
+        assert report.recovery_fraction == {
+            "perception": pytest.approx(1.0 / 40.0),
+            "control": pytest.approx(0.4 / 40.0),
+        }
+        assert report.stages() == ["perception", "control"]
+
+    def test_no_overhead_without_detection_or_recovery_charges(self):
+        quiet = replace(_fake_result(), compute_time={"pid_control": 5.0})
+        assert _group([quiet]).overhead_report("gaussian") is None
 
 
 # --------------------------------------------------------------- CLI surface

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.core.adaptive import validate_plan_file
 from repro.core.results import JsonlResultStore
 from repro.scenarios import scenario_names
 from repro.version import __version__
@@ -158,6 +159,48 @@ def test_campaign_resilience_follows_the_knobs(tmp_path, monkeypatch, capsys):
             (1, "retried"),
             (2, "failed"),
         ]
+
+
+def test_adaptive_campaign_resilience_follows_the_knobs(tmp_path, monkeypatch, capsys):
+    # The adaptive search flies under the same knobs: every attempt raises,
+    # each spec gets one retry, and the search still finishes with a plan.
+    monkeypatch.setenv("REPRO_CHAOS", "raise=1.0")
+    monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "2")
+    plan_path = tmp_path / "plan.json"
+    args = [
+        "campaign",
+        "--adaptive",
+        "--budget",
+        "6",
+        "--env",
+        "farm",
+        "--settings",
+        "golden,injection",
+        "--out",
+        str(tmp_path / "results.jsonl"),
+        "--plan-out",
+        str(plan_path),
+        "--quiet",
+    ]
+    assert main(args) == 0
+    assert "ChaosMissionError" in capsys.readouterr().out
+    store = JsonlResultStore(tmp_path / "results.jsonl")
+    assert len(store) == 0
+    by_key = {}
+    for record in store.load_failures():
+        by_key.setdefault(record["key"], []).append(record["failure"])
+    assert len(by_key) == 6
+    for attempts in by_key.values():
+        assert [f["error_type"] for f in attempts] == ["ChaosMissionError"] * 2
+        assert [(f["attempt"], f["outcome"]) for f in attempts] == [
+            (1, "retried"),
+            (2, "failed"),
+        ]
+    plan = validate_plan_file(plan_path)
+    # A spec without a surviving result is a run of its cell that failed.
+    assert plan["totals"]["runs_used"] == 6
+    assert sum(cell["runs"] for cell in plan["cells"]) == 6
+    assert all(cell["successes"] == 0 for cell in plan["cells"])
 
 
 def test_campaign_rejects_garbage_run_scale(tmp_path, monkeypatch, capsys):

@@ -459,7 +459,7 @@ class TestAbortGrace:
 
 
 class TestEndToEndEquivalence:
-    def test_full_evaluation_identical_across_engines(self, monkeypatch, tmp_path):
+    def test_evaluation_identical_across_engines(self, monkeypatch, tmp_path):
         """Serial scratch / serial cached+checkpointed / {1,2,4}-worker
         parallel / store-resumed streams are all bit-identical, and the
         prefix-affinity scheduler never rebuilds a golden prefix."""
@@ -471,16 +471,20 @@ class TestEndToEndEquivalence:
             training_environments=2,
             detector_cache_dir=tmp_path / "cache",
         )
+        specs = Campaign(config).evaluation_specs()
+
+        def fly(executor, store=None):
+            return Campaign(config).run_specs(specs, executor=executor, store=store)
 
         monkeypatch.setenv(checkpoint.NO_CHECKPOINT_ENV, "1")
         monkeypatch.setenv(builder.NO_CACHE_ENV, "1")
-        scratch = Campaign(config).full_evaluation(executor=SerialExecutor())
+        scratch = fly(SerialExecutor())
         monkeypatch.delenv(checkpoint.NO_CHECKPOINT_ENV)
         monkeypatch.delenv(builder.NO_CACHE_ENV)
 
         checkpoint.reset_checkpoint_caches()
         builder.reset_world_cache()
-        cached = Campaign(config).full_evaluation(executor=SerialExecutor())
+        cached = fly(SerialExecutor())
         assert checkpoint.checkpoint_stats().forks > 0
         # The scratch run above flew with the memos off, so the byte
         # comparison below also covers plans, depth images, point clouds and
@@ -496,39 +500,27 @@ class TestEndToEndEquivalence:
         for workers in (1, 2, 4):
             checkpoint.reset_checkpoint_caches()
             executor = ParallelExecutor(workers=workers)
-            parallel_runs[workers] = Campaign(config).full_evaluation(
-                executor=executor
-            )
+            parallel_runs[workers] = fly(executor)
             # The scheduler's invariant: whole prefix groups per worker, so
             # no golden prefix is ever flown twice across the fleet.
             assert executor.last_checkpoint_stats is not None
             assert executor.last_checkpoint_stats.duplicate_cursor_builds == 0
 
         store = JsonlResultStore(tmp_path / "results.jsonl")
-        streamed = Campaign(config).full_evaluation(
-            executor=SerialExecutor(), store=store
-        )
+        streamed = fly(SerialExecutor(), store=store)
         # Interrupt-and-resume: drop the tail of the store and re-run; the
         # resumed stream must splice stored and freshly-forked results into
         # the same record sequence.
         raw = store.path.read_text().splitlines(keepends=True)
         store.path.write_text("".join(raw[: len(raw) // 2]))
         checkpoint.reset_checkpoint_caches()
-        resumed = Campaign(config).full_evaluation(
-            executor=SerialExecutor(), store=store
-        )
+        resumed = fly(SerialExecutor(), store=store)
 
-        assert scratch.settings() == cached.settings()
-        for runs in parallel_runs.values():
-            assert runs.settings() == scratch.settings()
-        for setting in scratch.settings():
-            reference = scratch.results(setting)
-            others = (cached, streamed, resumed, *parallel_runs.values())
-            for other in others:
-                candidate = other.results(setting)
-                assert len(candidate) == len(reference)
-                for left, right in zip(reference, candidate):
-                    assert mission_results_equal(left, right)
+        assert {record.setting for record in scratch} == set(RunSetting.ALL)
+        for other in (cached, streamed, resumed, *parallel_runs.values()):
+            assert len(other) == len(scratch)
+            for left, right in zip(scratch, other):
+                assert mission_results_equal(left, right)
 
 
 # Shared by TestCursorRoundTrip (module-level so the helper stays terse).

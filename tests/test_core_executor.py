@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
 from repro.core.executor import (
+    DETECTOR_CUSTOM,
     DETECTOR_GAUSSIAN,
     ParallelExecutor,
     RunSpec,
@@ -22,11 +23,7 @@ from repro.core.executor import (
     resolve_worker_count,
 )
 from repro.core.injector import FaultPlan
-from repro.core.results import (
-    JsonlResultStore,
-    mission_result_to_dict,
-    mission_results_equal,
-)
+from repro.core.results import JsonlResultStore, mission_results_equal
 
 
 def _fast_campaign(**overrides) -> Campaign:
@@ -287,8 +284,9 @@ class TestDetectorResolution:
 
     def test_campaign_rejects_unknown_tag_string(self):
         campaign = _fast_campaign()
+        specs = campaign.stage_injection_specs(RunSetting.DR_GAUSSIAN, detector="mystery")
         with pytest.raises(ValueError):
-            campaign.run_stage_injections(RunSetting.DR_GAUSSIAN, detector="mystery")
+            campaign.run_specs(specs)
 
     def test_supplied_detector_is_not_retrained(self, monkeypatch, trained_gad):
         # A campaign holding the GAD its D&R(G) specs name must not train the
@@ -317,12 +315,13 @@ class TestDetectorResolution:
 
     def test_custom_detector_object_runs_serially(self, trained_gad):
         campaign = _fast_campaign(num_golden=1)
-        records = campaign.run_stage_injections(
+        specs = campaign.stage_injection_specs(
             RunSetting.DR_GAUSSIAN,
-            detector=trained_gad,
+            detector=DETECTOR_CUSTOM,
             count_per_stage=1,
             stages=("planning",),
         )
+        records = campaign.run_specs(specs, extra_detectors={DETECTOR_CUSTOM: trained_gad})
         assert len(records) == 1
         assert records[0].detection_checked_samples > 0
 
@@ -332,13 +331,16 @@ class TestDetectorResolution:
         pooled records equal the serial ones."""
         campaign = _fast_campaign(num_golden=2)
 
+        specs = campaign.stage_injection_specs(
+            RunSetting.DR_GAUSSIAN,
+            detector=DETECTOR_CUSTOM,
+            count_per_stage=2,
+            stages=("planning",),
+        )
+
         def fly(executor):
-            return campaign.run_stage_injections(
-                RunSetting.DR_GAUSSIAN,
-                detector=trained_gad,
-                count_per_stage=2,
-                stages=("planning",),
-                executor=executor,
+            return campaign.run_specs(
+                specs, executor=executor, extra_detectors={DETECTOR_CUSTOM: trained_gad}
             )
 
         serial = fly(SerialExecutor())
@@ -539,7 +541,7 @@ class TestResume:
 
 
 class TestCampaignThroughEngine:
-    def test_full_evaluation_parallel_matches_serial(self, tmp_path):
+    def test_evaluation_parallel_matches_serial(self, tmp_path):
         config = CampaignConfig(
             environment="farm",
             num_golden=2,
@@ -548,18 +550,14 @@ class TestCampaignThroughEngine:
             training_environments=2,
             detector_cache_dir=tmp_path,
         )
-        serial = Campaign(config).full_evaluation(executor=SerialExecutor())
-        parallel = Campaign(config).full_evaluation(
-            executor=ParallelExecutor(workers=2)
-        )
-        assert serial.settings() == parallel.settings()
-        for setting in serial.settings():
-            for left, right in zip(
-                serial.results(setting), parallel.results(setting)
-            ):
-                assert mission_results_equal(left, right)
+        specs = Campaign(config).evaluation_specs()
+        serial = Campaign(config).run_specs(specs, executor=SerialExecutor())
+        parallel = Campaign(config).run_specs(specs, executor=ParallelExecutor(workers=2))
+        assert len(serial) == len(parallel) == len(specs)
+        for left, right in zip(serial, parallel):
+            assert mission_results_equal(left, right)
 
-    def test_full_evaluation_flies_every_setting(self, tmp_path):
+    def test_evaluation_flies_every_setting(self, tmp_path):
         config = CampaignConfig(
             environment="farm",
             num_golden=1,
@@ -568,38 +566,32 @@ class TestCampaignThroughEngine:
             training_environments=2,
             detector_cache_dir=tmp_path,
         )
-        result = Campaign(config).full_evaluation()
-        assert set(result.settings()) == set(RunSetting.ALL)
+        campaign = Campaign(config)
+        records = campaign.run_specs(campaign.evaluation_specs())
+        assert {record.setting for record in records} == set(RunSetting.ALL)
 
-    def test_kernel_and_state_grouping_preserved(self):
+    def test_kernel_and_state_settings_preserved(self):
         campaign = _fast_campaign(num_golden=1)
-        by_kernel = campaign.run_kernel_injections(
-            [("OctoMap", "octomap_generation", "rrt_star")],
-            count_per_kernel=1,
+        [by_kernel] = campaign.run_specs(
+            campaign.kernel_injection_specs(
+                [("OctoMap", "octomap_generation", "rrt_star")], count_per_kernel=1
+            ),
             executor=ParallelExecutor(workers=2),
         )
-        assert list(by_kernel) == ["OctoMap"]
-        assert by_kernel["OctoMap"][0].setting == "kernel:OctoMap"
-        by_state = campaign.run_state_injections(
-            ["command_vx"], count_per_state=1, executor=ParallelExecutor(workers=2)
+        assert by_kernel.setting == "kernel:OctoMap"
+        [by_state] = campaign.run_specs(
+            campaign.state_injection_specs(["command_vx"], count_per_state=1),
+            executor=ParallelExecutor(workers=2),
         )
-        assert by_state["command_vx"][0].fault_target == "command_vx"
+        assert by_state.setting == "state:command_vx"
+        assert by_state.fault_target == "command_vx"
 
     def test_default_executor_attribute_used(self):
         campaign = Campaign(
             CampaignConfig(environment="farm", num_golden=2, mission_time_limit=60.0),
             executor=ParallelExecutor(workers=2),
         )
-        runs = campaign.run_golden()
-        reference = Campaign(campaign.config).run_golden()
+        runs = campaign.run_specs(campaign.golden_specs())
+        reference = Campaign(campaign.config).run_specs(campaign.golden_specs())
         for left, right in zip(runs, reference):
             assert mission_results_equal(left, right)
-
-    def test_run_one_matches_engine_spec_execution(self):
-        campaign = _fast_campaign(num_golden=1)
-        spec = campaign.golden_specs()[0]
-        via_engine = execute_spec(spec)
-        via_run_one = campaign.run_one(seed=spec.seed, setting=spec.setting)
-        assert mission_result_to_dict(via_engine) == mission_result_to_dict(
-            via_run_one
-        )

@@ -1,27 +1,23 @@
 """Tests for the fault injector node, QoF metrics and campaign management."""
 
-import math
-
 import pytest
 
 from repro.core.campaign import (
     Campaign,
     CampaignConfig,
-    CampaignResult,
     RunSetting,
     runs_scale,
     scaled_count,
 )
+from repro.core.executor import DETECTOR_GAUSSIAN, RunSpec
 from repro.core.fault import BitField
 from repro.core.injector import FaultInjectorNode, FaultPlan
 from repro.core.qof import (
-    QofMetrics,
     failure_recovery_rate,
     summarize_runs,
     worst_case_increase,
     worst_case_recovery,
 )
-from repro.core.results import distribution_stats, iqr_outlier_count, recovery_percentage
 from repro.pipeline.builder import PipelineConfig, build_pipeline
 
 
@@ -152,17 +148,6 @@ class TestQofMetrics:
         assert summary.fell_back_to_failures
         assert summary.mean_flight_time == pytest.approx(50.0)
 
-    def test_all_failed_nan_policy(self):
-        import math
-
-        results = self._fake_results([40, 60], [False, False])
-        summary = summarize_runs(results, on_no_success="nan")
-        assert not summary.fell_back_to_failures
-        assert math.isnan(summary.mean_flight_time)
-        assert math.isnan(summary.worst_flight_time)
-        assert math.isnan(summary.mean_energy)
-        assert summary.num_runs == 2
-
     def test_no_fallback_flag_when_successes_exist(self):
         results = self._fake_results([10, 50], [True, False])
         assert not summarize_runs(results).fell_back_to_failures
@@ -173,10 +158,6 @@ class TestQofMetrics:
         )
         assert not all_runs.fell_back_to_failures
         assert all_runs.worst_flight_time == 60
-
-    def test_invalid_no_success_policy_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_runs([], on_no_success="explode")
 
     def test_worst_case_increase_and_recovery(self):
         golden = summarize_runs(self._fake_results([10, 11], [True, True]))
@@ -194,40 +175,6 @@ class TestQofMetrics:
     def test_failure_recovery_rate_no_induced_failures(self):
         golden = summarize_runs(self._fake_results([10], [True]))
         assert failure_recovery_rate(golden, golden, golden) == 1.0
-
-    def test_qof_metrics_from_result(self):
-        result = self._fake_results([12.5], [True])[0]
-        metrics = QofMetrics.from_result(result)
-        assert metrics.flight_time == 12.5
-        assert metrics.success
-
-
-class TestResultsHelpers:
-    def test_distribution_stats(self):
-        stats = distribution_stats([1, 2, 3, 4, 5])
-        assert stats.median == 3
-        assert stats.minimum == 1
-        assert stats.maximum == 5
-        assert stats.count == 5
-
-    def test_distribution_stats_empty(self):
-        stats = distribution_stats([])
-        assert stats.count == 0
-        # NaN (not 0.0) statistics: an empty sample must not masquerade as a
-        # sample of genuinely zero flight times.
-        assert all(
-            math.isnan(v)
-            for v in (stats.minimum, stats.median, stats.maximum, stats.mean)
-        )
-
-    def test_recovery_percentage(self):
-        assert recovery_percentage(10, 20, 12) == pytest.approx(0.8)
-        assert recovery_percentage(10, 10, 10) == 1.0
-
-    def test_iqr_outliers(self):
-        values = [*[10.0] * 20, 100.0]
-        assert iqr_outlier_count(values) == 1
-        assert iqr_outlier_count([1, 2]) == 0
 
 
 class TestCampaign:
@@ -256,20 +203,10 @@ class TestCampaign:
         monkeypatch.setenv("MAVFI_RUNS", "4.0")
         assert runs_scale() == 4.0
 
-    def test_campaign_result_bookkeeping(self):
-        result = CampaignResult(config=CampaignConfig())
-        fake = type("R", (), {"flight_time": 10.0, "success": True, "mission_energy": 1.0})()
-        result.add("golden", fake)
-        result.extend("golden", [fake])
-        assert len(result.results("golden")) == 2
-        assert result.success_rate("golden") == 1.0
-        assert result.flight_times("golden") == [10.0, 10.0]
-        assert result.settings() == ["golden"]
-
     def test_golden_runs(self, monkeypatch):
         monkeypatch.setenv("MAVFI_RUNS", "1.0")
         campaign = Campaign(CampaignConfig(environment="farm", num_golden=2))
-        runs = campaign.run_golden(2)
+        runs = campaign.run_specs(campaign.golden_specs(2))
         assert len(runs) == 2
         assert all(r.setting == RunSetting.GOLDEN for r in runs)
         assert all(r.success for r in runs)
@@ -279,10 +216,12 @@ class TestCampaign:
         campaign = Campaign(
             CampaignConfig(environment="farm", num_golden=2, num_injections_per_stage=1)
         )
-        runs = campaign.run_stage_injections(RunSetting.INJECTION, count_per_stage=1)
+        runs = campaign.run_specs(
+            campaign.stage_injection_specs(RunSetting.INJECTION, count_per_stage=1)
+        )
         assert len(runs) == 3  # one per PPC stage
         assert {r.fault_target for r in runs} == {"perception", "planning", "control"}
-        golden_seeds = {r.seed for r in campaign.run_golden(2)}
+        golden_seeds = {r.seed for r in campaign.run_specs(campaign.golden_specs(2))}
         assert {r.seed for r in runs}.issubset(golden_seeds)
 
     def test_dr_golden_specs_are_fault_free_with_detector(self, monkeypatch):
@@ -305,23 +244,33 @@ class TestCampaign:
     def test_kernel_injections_grouped_by_label(self, monkeypatch):
         monkeypatch.setenv("MAVFI_RUNS", "1.0")
         campaign = Campaign(CampaignConfig(environment="farm", num_golden=1))
-        by_kernel = campaign.run_kernel_injections(
-            [("OctoMap", "octomap_generation", "rrt_star")], count_per_kernel=1
+        [record] = campaign.run_specs(
+            campaign.kernel_injection_specs(
+                [("OctoMap", "octomap_generation", "rrt_star")], count_per_kernel=1
+            )
         )
-        assert list(by_kernel) == ["OctoMap"]
-        assert by_kernel["OctoMap"][0].setting == "kernel:OctoMap"
+        assert record.setting == "kernel:OctoMap"
+        assert record.fault_target == "octomap_generation"
 
     def test_state_injections(self, monkeypatch):
         monkeypatch.setenv("MAVFI_RUNS", "1.0")
         campaign = Campaign(CampaignConfig(environment="farm", num_golden=1))
-        by_state = campaign.run_state_injections(["command_vx"], count_per_state=1)
-        assert by_state["command_vx"][0].fault_target == "command_vx"
+        [record] = campaign.run_specs(
+            campaign.state_injection_specs(["command_vx"], count_per_state=1)
+        )
+        assert record.setting == "state:command_vx"
+        assert record.fault_target == "command_vx"
 
     def test_dr_run_attaches_detector(self, monkeypatch, trained_gad):
         monkeypatch.setenv("MAVFI_RUNS", "1.0")
         campaign = Campaign(CampaignConfig(environment="farm", num_golden=1), gad=trained_gad)
         plan = campaign._fault_plan("stage", "planning", 0)
-        record = campaign.run_one(
-            seed=0, setting=RunSetting.DR_GAUSSIAN, fault_plan=plan, detector=trained_gad
+        spec = RunSpec(
+            config=campaign.config,
+            setting=RunSetting.DR_GAUSSIAN,
+            seed=0,
+            fault_plan=plan,
+            detector=DETECTOR_GAUSSIAN,
         )
+        [record] = campaign.run_specs([spec])
         assert record.detection_checked_samples > 0

@@ -25,7 +25,7 @@ def sample_result():
     campaign = Campaign(
         CampaignConfig(environment="farm", num_golden=1, mission_time_limit=60.0)
     )
-    return campaign.run_golden()[0]
+    return campaign.run_specs(campaign.golden_specs())[0]
 
 
 class TestSerialisation:

@@ -4,6 +4,10 @@ Package ``__init__`` files import each other (the stage packages import
 ``repro.pipeline.kernel``, whose package imports the builder, which imports
 the stage packages), so an import cycle only shows when a module is imported
 *first*.  Each module gets its own fresh interpreter.
+
+The examples are imported the same way, without running their ``main``: no
+other test imports them, so this is what catches an example that imports a
+name the package no longer has.
 """
 
 import os
@@ -18,6 +22,7 @@ import pytest
 import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def _all_modules():
@@ -27,16 +32,30 @@ def _all_modules():
     ]
 
 
-def _import_first(module):
+def _run_fresh(code):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
-    return module, proc.returncode, proc.stderr.strip().splitlines()[-1:]
+    return proc.returncode, proc.stderr.strip().splitlines()[-1:]
+
+
+def _import_first(module):
+    return (module, *_run_fresh(f"import {module}"))
+
+
+def _import_example(path):
+    # Loaded under its file stem, not as __main__, so main() does not run.
+    code = (
+        "import importlib.util; "
+        f"spec = importlib.util.spec_from_file_location({path.stem!r}, {str(path)!r}); "
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))"
+    )
+    return (path.name, *_run_fresh(code))
 
 
 def test_every_module_imports_first_in_a_fresh_interpreter():
@@ -46,6 +65,18 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
         failures = [
             (module, error)
             for module, code, error in pool.map(_import_first, modules)
+            if code != 0
+        ]
+    assert failures == []
+
+
+def test_every_example_imports_in_a_fresh_interpreter():
+    examples = sorted(EXAMPLES.glob("*.py"))
+    assert "quickstart.py" in {path.name for path in examples}
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        failures = [
+            (name, error)
+            for name, code, error in pool.map(_import_example, examples)
             if code != 0
         ]
     assert failures == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.overhead import KERNEL_STAGES, compute_overhead
+from repro.core.overhead import KERNEL_STAGES
 from repro.platforms.compute import (
     DETECTION_BASE_LATENCIES,
     KERNEL_BASE_LATENCIES,
@@ -133,43 +133,3 @@ class TestEnergyAndOverhead:
 
     def test_kernel_stage_map_covers_pipeline(self):
         assert set(KERNEL_STAGES.values()) == {"perception", "planning", "control"}
-
-    def test_compute_overhead_aggregation(self):
-        fake_result = type(
-            "R",
-            (),
-            {
-                "compute_time": {"octomap_generation": 10.0},
-                "total_compute_time": 10.0,
-                "categories_by_node": {
-                    "octomap_generation": {"compute": 9.0, "recovery": 1.0},
-                    "anomaly_detection": {"detection:perception": 0.001},
-                },
-            },
-        )()
-        report = compute_overhead([fake_result], detector="gad", environment="sparse")
-        assert report.recovery_fraction["perception"] == pytest.approx(0.1)
-        assert report.detection_fraction["perception"] == pytest.approx(0.0001)
-        assert report.total_overhead > 0.1
-        assert any("DET" in row for row in report.rows())
-
-    def test_compute_overhead_aad_reports_single_ppc_row(self):
-        fake_result = type(
-            "R",
-            (),
-            {
-                "compute_time": {"pid_control": 5.0},
-                "total_compute_time": 5.0,
-                "categories_by_node": {
-                    "pid_control": {"compute": 5.0, "recovery": 0.005},
-                    "anomaly_detection": {"detection:ppc": 0.0005},
-                },
-            },
-        )()
-        report = compute_overhead([fake_result], detector="aad")
-        assert list(report.detection_fraction) == ["ppc"]
-        assert list(report.recovery_fraction) == ["control"]
-
-    def test_empty_overhead_report(self):
-        report = compute_overhead([], detector="gad")
-        assert report.total_overhead == 0.0

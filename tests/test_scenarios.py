@@ -10,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig, RunSetting
 from repro.core.executor import (
     ParallelExecutor,
     RunSpec,
@@ -389,18 +389,19 @@ class TestSpecIntegration:
         del data["scenario"]
         assert mission_result_from_dict(data).scenario == ""
 
-    def test_scenario_sweep_groups_by_name(self):
+    def test_scenario_sweep_flies_each_scenario(self):
         campaign = _campaign(num_golden=1)
-        by_scenario = campaign.run_scenario_sweep(["patrol-farm", "blind-farm"])
-        assert sorted(by_scenario) == ["blind-farm", "patrol-farm"]
-        for name, records in by_scenario.items():
-            assert all(r.scenario == name for r in records)
+        specs = campaign.scenario_sweep_specs(["patrol-farm", "blind-farm"])
+        records = campaign.run_specs(specs)
+        assert [r.setting for r in records] == ["scenario:patrol-farm", "scenario:blind-farm"]
+        assert [r.scenario for r in records] == ["patrol-farm", "blind-farm"]
 
-    def test_full_evaluation_accepts_scenarios(self, monkeypatch):
+    def test_evaluation_specs_accept_scenarios(self, monkeypatch):
         monkeypatch.setenv("MAVFI_RUNS", "0.01")
         campaign = _campaign(num_golden=1)
-        outcome = campaign.full_evaluation(scenarios=["patrol-farm"])
-        assert "scenario:patrol-farm" in outcome.settings()
+        specs = campaign.evaluation_specs(scenarios=["patrol-farm"])
+        assert specs[-1].setting == "scenario:patrol-farm"
+        assert {s.setting for s in specs[:-1]} == set(RunSetting.ALL)
 
     def test_serial_and_parallel_bit_identical_under_stress_scenario(self):
         campaign = _campaign(scenario=STRESS_SCENARIO, num_golden=3)
@@ -415,10 +416,9 @@ class TestSpecIntegration:
     def test_scenario_sweep_resumes_from_store(self, tmp_path):
         campaign = _campaign(num_golden=1)
         store = JsonlResultStore(tmp_path / "sweep.jsonl")
-        first = campaign.run_scenario_sweep(["patrol-farm"], store=store)
+        specs = campaign.scenario_sweep_specs(["patrol-farm"])
+        [first] = campaign.run_specs(specs, store=store)
         recorded = len(store)
-        again = campaign.run_scenario_sweep(["patrol-farm"], store=store)
+        [again] = campaign.run_specs(specs, store=store)
         assert len(store) == recorded  # nothing re-flown
-        assert mission_results_equal(
-            first["patrol-farm"][0], again["patrol-farm"][0]
-        )
+        assert mission_results_equal(first, again)
