@@ -9,7 +9,7 @@ much as the Gaussian scheme.
 
 import pytest
 
-from repro.analysis.reporting import format_distribution_table, format_table
+from repro.analysis.reporting import format_distribution_table, format_percent, format_table
 from repro.core.campaign import RunSetting
 from repro.core.qof import worst_case_increase
 from repro.sim.environments import ENVIRONMENT_NAMES
@@ -53,7 +53,7 @@ def test_fig6_flight_time_distributions(benchmark, full_report):
                 env,
                 f"{worst_case_increase(golden, injection) * 100:+.1f}%",
                 *(
-                    f"{rows[(env, setting)]['worst_case_recovery'] * 100:.0f}%"
+                    format_percent(rows[(env, setting)]["worst_case_recovery"])
                     for setting in (RunSetting.DR_GAUSSIAN, RunSetting.DR_AUTOENCODER)
                 ),
             ]

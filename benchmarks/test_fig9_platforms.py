@@ -12,7 +12,7 @@ both platforms, and both D&R schemes recover most of the degradation.
 import pytest
 
 from repro.analysis.report import build_report
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_percent, format_table
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
 from repro.platforms.compute import get_platform
 
@@ -82,7 +82,7 @@ def test_fig9_platform_comparison(benchmark, detectors, tmp_path):
                 f"{qof[name][RunSetting.GOLDEN]['worst_flight_time']:.1f}",
                 f"{qof[name][RunSetting.INJECTION]['worst_flight_time']:.1f}",
                 *(
-                    f"{rows[('sparse', setting)]['worst_case_recovery'] * 100:.0f}%"
+                    format_percent(rows[("sparse", setting)]["worst_case_recovery"])
                     for setting in (RunSetting.DR_GAUSSIAN, RunSetting.DR_AUTOENCODER)
                 ),
             ]

@@ -9,7 +9,7 @@ autoencoder recovers at least as much as the Gaussian scheme.
 
 import pytest
 
-from repro.analysis.reporting import format_success_rate_table, format_table
+from repro.analysis.reporting import format_percent, format_success_rate_table, format_table
 from repro.core.campaign import RunSetting
 from repro.sim.environments import ENVIRONMENT_NAMES
 
@@ -45,7 +45,7 @@ def test_table1_success_rate(benchmark, full_report):
         [
             env,
             *(
-                f"{rows[(env, setting)]['failure_recovery_rate'] * 100:.0f}%"
+                format_percent(rows[(env, setting)]["failure_recovery_rate"])
                 for setting in (RunSetting.DR_GAUSSIAN, RunSetting.DR_AUTOENCODER)
             ),
         ]

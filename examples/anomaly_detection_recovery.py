@@ -21,16 +21,16 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.report import build_report
-from repro.analysis.reporting import format_distribution_table, format_overhead_table, format_table
+from repro.analysis.reporting import (
+    format_distribution_table,
+    format_overhead_table,
+    format_percent,
+    format_table,
+)
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
 from repro.core.overhead import OverheadReport
 from repro.core.results import JsonlResultStore
 from repro.detection.training import train_detectors
-
-
-def _percent(rate) -> str:
-    # No degradation to recover leaves a recovery rate undefined (None).
-    return "n/a" if rate is None else f"{rate * 100:.0f}%"
 
 
 def main() -> None:
@@ -88,10 +88,10 @@ def main() -> None:
     gad = recovery[RunSetting.DR_GAUSSIAN]
     aad = recovery[RunSetting.DR_AUTOENCODER]
     print("\nRecovery effectiveness")
-    print(f"  failure cases recovered:   GAD {_percent(gad['failure_recovery_rate'])}   "
-          f"AAD {_percent(aad['failure_recovery_rate'])}")
-    print(f"  worst-case flight time:    GAD {_percent(gad['worst_case_recovery'])}   "
-          f"AAD {_percent(aad['worst_case_recovery'])}")
+    print(f"  failure cases recovered:   GAD {format_percent(gad['failure_recovery_rate'])}   "
+          f"AAD {format_percent(aad['failure_recovery_rate'])}")
+    print(f"  worst-case flight time:    GAD {format_percent(gad['worst_case_recovery'])}   "
+          f"AAD {format_percent(aad['worst_case_recovery'])}")
 
     print(format_distribution_table(
         [(label, groups[s]["flight_time_distribution"]) for s, label in labels.items()],

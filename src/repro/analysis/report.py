@@ -42,6 +42,7 @@ from repro.analysis.detection_metrics import (
 from repro.analysis.reporting import (
     format_distribution_table,
     format_overhead_table,
+    format_percent,
     format_success_rate_table,
     format_table,
 )
@@ -1005,18 +1006,8 @@ def _render_recovery(recovery_rows: List[Dict]) -> str:
         [
             row["setting"],
             row["environment"],
-            _fmt(
-                None
-                if row["worst_case_recovery"] is None
-                else row["worst_case_recovery"] * 100
-            )
-            + ("%" if row["worst_case_recovery"] is not None else ""),
-            _fmt(
-                None
-                if row["failure_recovery_rate"] is None
-                else row["failure_recovery_rate"] * 100
-            )
-            + ("%" if row["failure_recovery_rate"] is not None else ""),
+            format_percent(row["worst_case_recovery"], 1),
+            format_percent(row["failure_recovery_rate"], 1),
         ]
         for row in recovery_rows
     ]

@@ -33,6 +33,11 @@ def format_table(
     return "\n".join(lines)
 
 
+def format_percent(value: Optional[float], decimals: int = 0) -> str:
+    """A fraction as a percentage; ``n/a`` when it is undefined (``None``)."""
+    return "n/a" if value is None else f"{value * 100:.{decimals}f}%"
+
+
 def format_success_rate_table(
     success_rates: Mapping[str, Mapping[str, float]],
     environments: Sequence[str],

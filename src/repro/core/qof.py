@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -304,28 +304,32 @@ def worst_case_increase(baseline: QofSummary, other: QofSummary) -> float:
 
 def worst_case_recovery(
     golden: QofSummary, faulty: QofSummary, recovered: QofSummary
-) -> float:
+) -> Optional[float]:
     """Fraction of the SDC-degraded worst-case flight time recovered by D&R.
 
     Defined as ``(worst_FI - worst_DR) / (worst_FI - worst_golden)``; 1.0 means
-    the worst case is fully restored to the golden worst case.
+    the worst case is fully restored to the golden worst case.  ``None`` when
+    the faults did not degrade the worst case (a gap of at most 1e-9 s,
+    negative gaps included): there is nothing to recover, and 0/0 is no rate.
     """
     degradation = faulty.worst_flight_time - golden.worst_flight_time
     if degradation <= 1e-9:
-        return 1.0
+        return None
     improvement = faulty.worst_flight_time - recovered.worst_flight_time
     return improvement / degradation
 
 
 def failure_recovery_rate(
     golden: QofSummary, faulty: QofSummary, recovered: QofSummary
-) -> float:
+) -> Optional[float]:
     """Fraction of the fault-induced failure cases recovered by D&R.
 
     Defined over success rates: ``(SR_DR - SR_FI) / (SR_golden - SR_FI)``; the
-    paper's "recovers up to 89.6% / 100% of failure cases".
+    paper's "recovers up to 89.6% / 100% of failure cases".  ``None`` when the
+    faults induced no failure (a success-rate gap of at most 1e-9, negative
+    gaps included): there is no failure case to recover.
     """
     induced = golden.success_rate - faulty.success_rate
     if induced <= 1e-9:
-        return 1.0
+        return None
     return (recovered.success_rate - faulty.success_rate) / induced

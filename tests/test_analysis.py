@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.reporting import (
     format_distribution_table,
     format_overhead_table,
+    format_percent,
     format_success_rate_table,
     format_table,
 )
@@ -95,6 +96,11 @@ class TestReporting:
             "max": max(values),
             "mean": sum(values) / len(values),
         }
+
+    def test_percent_renders_undefined_rates_as_n_a(self):
+        assert format_percent(0.875) == "88%"
+        assert format_percent(0.875, 1) == "87.5%"
+        assert format_percent(None) == "n/a"
 
     def test_distribution_table(self):
         text = format_distribution_table(

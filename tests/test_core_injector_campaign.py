@@ -105,7 +105,7 @@ class TestFaultInjectorNode:
         assert injector.description == first
 
 
-class TestQofMetrics:
+class TestQofSummary:
     def _fake_results(self, times, successes):
         results = []
         for time, success in zip(times, successes):
@@ -173,8 +173,18 @@ class TestQofMetrics:
         assert failure_recovery_rate(golden, faulty, recovered) == pytest.approx(0.5)
 
     def test_failure_recovery_rate_no_induced_failures(self):
+        # No induced failure: 0/0 is no rate (it used to read 1.0, "100%").
         golden = summarize_runs(self._fake_results([10], [True]))
-        assert failure_recovery_rate(golden, golden, golden) == 1.0
+        assert failure_recovery_rate(golden, golden, golden) is None
+        worse_golden = summarize_runs(self._fake_results([10, 10], [True, False]))
+        assert failure_recovery_rate(worse_golden, golden, golden) is None
+
+    def test_worst_case_recovery_no_degradation(self):
+        golden = summarize_runs(self._fake_results([10, 12], [True, True]))
+        faster = summarize_runs(self._fake_results([10, 11], [True, True]))
+        assert worst_case_recovery(golden, golden, faster) is None
+        # A negative gap (faults flew a shorter worst case) is no degradation.
+        assert worst_case_recovery(golden, faster, golden) is None
 
 
 class TestCampaign:
