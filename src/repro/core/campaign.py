@@ -322,7 +322,9 @@ class Campaign:
         """Specs of single-bit injections split evenly over the PPC stages.
 
         ``detector`` is a spec detector *tag* (``"gaussian"``,
-        ``"autoencoder"``, ``"custom"`` or ``None``), not a live object.
+        ``"autoencoder"``, ``"custom"`` or ``None``), not a live object; a
+        ``"custom"`` spec flies the object :meth:`run_specs` is given as
+        ``extra_detectors={"custom": obj}``.
         """
         count = scaled_count(
             count_per_stage

@@ -173,7 +173,7 @@ class TestQofSummary:
         assert failure_recovery_rate(golden, faulty, recovered) == pytest.approx(0.5)
 
     def test_failure_recovery_rate_no_induced_failures(self):
-        # No induced failure: 0/0 is no rate (it used to read 1.0, "100%").
+        # No induced failure (a zero or negative gap): 0/0 is no rate.
         golden = summarize_runs(self._fake_results([10], [True]))
         assert failure_recovery_rate(golden, golden, golden) is None
         worse_golden = summarize_runs(self._fake_results([10, 10], [True, False]))
