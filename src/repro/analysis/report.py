@@ -885,6 +885,11 @@ def _group_label(group: Dict) -> str:
     return setting
 
 
+def _cell_label(group: Dict) -> str:
+    """``[environment] setting``: a row label that tells environments apart."""
+    return f"[{group['environment']}] {_group_label(group)}"
+
+
 def _render_table1(groups: List[Dict]) -> str:
     environments: List[str] = []
     settings: List[str] = []
@@ -960,7 +965,7 @@ def _render_fig7(groups: List[Dict]) -> str:
         lateral = trajectory["max_lateral_deviation"]
         rows.append(
             [
-                _group_label(group),
+                _cell_label(group),
                 trajectory["runs"],
                 _fmt(None if path is None else path["mean"]),
                 _fmt(None if detour is None else detour["mean"], "{:.2f}"),
@@ -1061,13 +1066,13 @@ def render_report(report: Dict) -> str:
         _render_table1(groups),
         _render_qof(groups),
         format_distribution_table(
-            [(_group_label(group), group["flight_time_distribution"]) for group in groups],
+            [(_cell_label(group), group["flight_time_distribution"]) for group in groups],
             title="Fig. 6: flight time distribution (successful runs)",
         ),
         _render_fig7(groups),
         format_overhead_table(
             (
-                f"[{group['environment']}] {_group_label(group)}",
+                _cell_label(group),
                 OverheadReport.from_dict(group["overhead"], group["environment"]),
             )
             for group in groups

@@ -4,13 +4,13 @@ Every fault-injection mission of a campaign is bit-identical to the error-free
 ("golden") mission of the same (configuration, seed, scenario, detector) up to
 the instant its fault activates.  Re-simulating that shared prefix for each of
 the N injections of a sweep is the single largest source of redundant work in
-a campaign, so this module keeps one *golden-prefix cursor* per prefix
-identity: a live pipeline advanced lazily along the mission runner's exact
-time grid.  An injection run then *forks* from the cursor -- a deep copy of
-the full pipeline state (graph clock, executor timer heap, node/kernel state,
-RNG streams, vehicle, octomap, detector windows, topic/service buses) --
-attaches its fault injector, and resumes the stepping loop from the pause
-point instead of re-flying the prefix.
+a campaign, so this module holds one *golden-prefix cursor* at a time: a live
+pipeline advanced lazily along the mission runner's exact time grid.  An
+injection run *forks* from the cursor -- a deep copy of the full pipeline
+state (graph clock, executor timer heap, node/kernel state, RNG streams,
+vehicle, octomap, detector windows, topic/service buses) -- attaches its fault
+injector, and resumes the stepping loop from the pause point instead of
+re-flying the prefix; the golden run, last of its group, takes the cursor itself.
 
 Correctness is held to a hard bit-identity standard: a forked run must produce
 exactly the :class:`~repro.pipeline.runner.MissionResult` of a from-scratch
@@ -38,7 +38,6 @@ records against.
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -104,7 +103,7 @@ class CheckpointStats:
     across the whole worker fleet.
     """
 
-    #: Cursors built from scratch (first spec of a prefix identity).
+    #: Cursors built from scratch (no held cursor of the spec's prefix identity).
     cursors_built: int = 0
     #: Cursors rebuilt because a spec needed an earlier time than the cursor
     #: had already passed (out-of-cache-order dispatch).
@@ -113,9 +112,9 @@ class CheckpointStats:
     cursor_hits: int = 0
     #: Injection runs served by forking a cursor.
     forks: int = 0
-    #: Golden (fault-free) runs served by forking a completed cursor.
+    #: Golden (fault-free) runs served by finishing a cursor.
     golden_served: int = 0
-    #: Simulated seconds the forks did *not* re-fly (sum of fork-point times).
+    #: Simulated seconds the served runs did *not* re-fly (sum of resume times).
     forked_prefix_sim_seconds: float = 0.0
     #: Simulated seconds the cursors themselves flew (the shared cost).
     cursor_sim_seconds: float = 0.0
@@ -198,8 +197,8 @@ class GoldenPrefixCursor:
     The cursor replicates :meth:`MissionRunner.run` exactly -- same node
     start order, same ``t += time_step; spin_until(t)`` accumulation -- but
     pauses between grid steps so forks can be taken.  It never aborts or
-    collects its own mission: terminal actions happen only on forks, so the
-    cursor state stays a pristine golden prefix.
+    collects its own mission while forks may still be taken: only the golden
+    spec that takes it out of the manager's slot finishes it.
     """
 
     def __init__(self, spec: "RunSpec", detector: Optional[object]) -> None:
@@ -275,22 +274,20 @@ class GoldenPrefixCursor:
 
 
 # ---------------------------------------------------------------- the manager
-#: Cursors a :class:`CheckpointManager` keeps (full pipelines are MB-scale).
-MAX_CURSORS = 4
-
-
 class CheckpointManager:
-    """Per-process registry of golden-prefix cursors, keyed by prefix identity.
+    """Per-process slot holding one golden-prefix cursor and its prefix key.
 
-    Cursors are kept in an LRU of :data:`MAX_CURSORS`; the execution engine
-    sorts spec batches into cache-friendly order (grouped by prefix,
-    injections by ascending activation time, golden runs last) so the cursor
-    of the active group advances monotonically and is evicted only when its
-    group is finished.
+    Every dispatcher flies a prefix group back to back, in
+    :func:`~repro.core.executor.cache_order_key` order (injections by
+    ascending activation time, golden runs last), so the slot's cursor
+    advances monotonically: a spec of another prefix releases it, and the
+    golden spec that ends the group takes it.  Any other order only rebuilds
+    a bit-identical cursor.
     """
 
     def __init__(self) -> None:
-        self._cursors: "OrderedDict[str, GoldenPrefixCursor]" = OrderedDict()
+        self._key: Optional[str] = None
+        self._cursor: Optional[GoldenPrefixCursor] = None
         self.stats = CheckpointStats()
 
     # -------------------------------------------------------------- plumbing
@@ -298,25 +295,23 @@ class CheckpointManager:
         self, spec: "RunSpec", detector: Optional[object], needed_before: float
     ) -> GoldenPrefixCursor:
         key = spec.prefix_key()
-        cursor = self._cursors.get(key)
+        cursor = self._cursor if key == self._key else None
+        # Empty the slot first: a released pipeline is freed before the next is built.
+        self._key = self._cursor = None
         if cursor is not None and (
             cursor.t >= needed_before or cursor.detector_source is not detector
         ):
             # The cursor flew past the requested fork point (out-of-order
             # dispatch), or the caller's live detector is a different object
             # than the one the prefix was flown with; rebuild.
-            del self._cursors[key]
             cursor = None
             self.stats.cursor_restarts += 1
         if cursor is None:
             cursor = GoldenPrefixCursor(spec, detector)
             self.stats.record_build(key)
-            self._cursors[key] = cursor
         else:
             self.stats.cursor_hits += 1
-        self._cursors.move_to_end(key)
-        while len(self._cursors) > MAX_CURSORS:
-            self._cursors.popitem(last=False)
+        self._key, self._cursor = key, cursor
         return cursor
 
     def _advance(self, cursor: GoldenPrefixCursor, limit_time: float) -> None:
@@ -325,25 +320,26 @@ class CheckpointManager:
         self.stats.cursor_sim_seconds += cursor.t - before
 
     def discard(self, prefix_key: str) -> None:
-        """Drop the cursor for one prefix (no-op when absent).
+        """Drop the held cursor if it is ``prefix_key``'s (no-op otherwise).
 
         The resilience engine calls this after a failed execution attempt: a
         mission that raised mid-flight may have advanced its group's cursor
         past states the retry needs, and a rebuilt cursor is bit-identical by
         construction, so dropping it makes retries deterministic.
         """
-        self._cursors.pop(prefix_key, None)
+        if prefix_key == self._key:
+            self._key = self._cursor = None
 
     def reset(self) -> None:
-        """Drop every cursor and zero the statistics."""
-        self._cursors.clear()
+        """Drop the held cursor and zero the statistics."""
+        self._key = self._cursor = None
         self.stats = CheckpointStats()
 
     # ------------------------------------------------------------- execution
     def run_spec(
         self, spec: "RunSpec", detector: Optional[object]
     ) -> Optional["MissionResult"]:
-        """Serve ``spec`` from a golden-prefix fork, or ``None`` to decline.
+        """Serve ``spec`` from the golden-prefix cursor, or ``None`` to decline.
 
         Declining (a fault too early for any prefix to be worth sharing)
         falls back to the engine's from-scratch path.
@@ -356,11 +352,13 @@ class CheckpointManager:
         self, spec: "RunSpec", detector: Optional[object]
     ) -> "MissionResult":
         cursor = self._cursor_for(spec, detector, needed_before=float("inf"))
+        # The golden spec ends its prefix group: it takes the cursor and
+        # finishes the mission on it instead of on a copy.
+        self._key = self._cursor = None
         self._advance(cursor, float("inf"))
-        handles, loop_t = cursor.fork()
         self.stats.golden_served += 1
-        self.stats.forked_prefix_sim_seconds += handles.graph.clock.now
-        return self._finish(spec, handles, loop_t, injector=None)
+        self.stats.forked_prefix_sim_seconds += cursor.handles.graph.clock.now
+        return self._finish(spec, cursor.handles, cursor.t, injector=None)
 
     def _run_injection(
         self, spec: "RunSpec", detector: Optional[object]

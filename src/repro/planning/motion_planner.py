@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import topics
 from repro.pipeline.kernel import KernelNode
-from repro.planning.memo import memoized_plan
+from repro.planning.memo import memoized_waypoints
 from repro.planning.rrt import PlanningProblem, make_planner
 from repro.planning.smoothing import PathSmoother, SmootherConfig
 from repro.rosmw.message import (
@@ -236,15 +236,14 @@ class MotionPlannerNode(KernelNode):
             max_iterations=self.config.max_iterations,
             step_size=self.config.step_size,
         )
-        result = memoized_plan(planner, problem)
-        if not result.success:
+        waypoints = memoized_waypoints(planner, problem, self.smoother)
+        if waypoints is None:
             return None
         self._last_plan_seed = seed
         if count_replan:
             self.replan_count += 1
-        return self.smoother.to_trajectory(
-            result.path,
-            problem,
+        return MultiDOFTrajectoryMsg(
+            waypoints=waypoints,
             planner_name=self.config.planner_name,
             replan_index=self.replan_count,
         )

@@ -12,7 +12,7 @@ memo                 kernel call (node)                                     entr
 ``depth_capture``    ``DepthCamera.capture`` (``AirSimInterfaceNode``)      256
 ``point_cloud``      ``PointCloudGenerator.compute`` (``PointCloudNode``)   256
 ``collision_check``  ``CollisionChecker.compute`` (``CollisionCheckNode``)  1024
-``motion_plan``      ``planner.plan`` (``MotionPlannerNode``)               1024
+``motion_plan``      ``planner.plan`` + smoothing (``MotionPlannerNode``)   1024
 ===================  =====================================================  =======
 
 On a miss the call site runs the kernel's own public method, so every

@@ -440,6 +440,26 @@ class TestReportContent:
             "dr_autoencoder",
         }
 
+    def test_fig6_and_fig7_rows_name_their_environment(self, tmp_path):
+        shard = tmp_path / "two-environments.jsonl"
+        records = [
+            {
+                "key": f"k{index}",
+                "meta": {},
+                "result": mission_result_to_dict(
+                    replace(_fake_result(setting="golden"), environment=environment)
+                ),
+            }
+            for index, environment in enumerate(("farm", "sparse"))
+        ]
+        shard.write_text("".join(json.dumps(record) + "\n" for record in records))
+        text = render_report(build_report([shard]))
+        fig6 = text[text.index("Fig. 6") : text.index("Fig. 7")]
+        fig7 = text[text.index("Fig. 7") : text.index("Table II")]
+        for section in (fig6, fig7):
+            assert "[farm] golden" in section
+            assert "[sparse] golden" in section
+
     def test_confidence_intervals_bracket_value(self, campaign_store):
         report = build_report([campaign_store])
         for group in report["groups"]:

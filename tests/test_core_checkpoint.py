@@ -9,6 +9,8 @@ for byte through the JSON round-trip, for every fault type, for detector
 from __future__ import annotations
 
 import copy
+import gc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -258,6 +260,86 @@ class TestCursorRoundTrip:
         assert manager.stats.cursor_restarts == 1
         assert mission_results_equal(first, second)
 
+
+@pytest.fixture
+def live_cursors(monkeypatch):
+    """Counts the :class:`GoldenPrefixCursor` objects still alive."""
+    refs = []
+    original = GoldenPrefixCursor.__init__
+
+    def tracking(cursor, *args, **kwargs):
+        original(cursor, *args, **kwargs)
+        refs.append(weakref.ref(cursor))
+
+    monkeypatch.setattr(GoldenPrefixCursor, "__init__", tracking)
+
+    def count():
+        gc.collect()
+        return sum(1 for ref in refs if ref() is not None)
+
+    return count
+
+
+def _injection(seed, injection_time=5.0):
+    plan = FaultPlan(
+        target_type="stage", target="planning", injection_time=injection_time, seed=7
+    )
+    return RunSpec(config=_config(), setting="injection", seed=seed, fault_plan=plan)
+
+
+class TestOneSlotManager:
+    def test_golden_spec_takes_the_cursor_without_a_copy(self, monkeypatch, live_cursors):
+        forks = []
+        original_fork = GoldenPrefixCursor.fork
+
+        def counting_fork(cursor):
+            forks.append(cursor.t)
+            return original_fork(cursor)
+
+        monkeypatch.setattr(GoldenPrefixCursor, "fork", counting_fork)
+        golden = RunSpec(config=_config(), setting=RunSetting.GOLDEN, seed=0)
+        reference = _scratch(golden, monkeypatch=monkeypatch)
+        execute_spec(_injection(seed=0))
+        assert len(forks) == 1 and live_cursors() == 1
+        served = execute_spec(golden)
+        stats = checkpoint.checkpoint_stats()
+        assert len(forks) == 1
+        assert live_cursors() == 0
+        assert stats.golden_served == 1
+        assert stats.cursor_hits == 1 and stats.cursors_built == 1
+        assert mission_result_to_dict(served) == mission_result_to_dict(reference)
+
+    def test_back_to_back_groups_hold_one_cursor_at_a_time(self, live_cursors):
+        for seed in (0, 1):
+            for injection_time in (3.0, 6.0):
+                execute_spec(_injection(seed, injection_time))
+                assert live_cursors() == 1
+        stats = checkpoint.checkpoint_stats()
+        assert stats.cursors_built == 2 and stats.forks == 4
+
+    def test_flying_a_released_group_again_rebuilds_its_cursor(self, monkeypatch):
+        first, other = _injection(seed=0), _injection(seed=1)
+        again = _injection(seed=0, injection_time=6.0)
+        references = [_scratch(spec, monkeypatch=monkeypatch) for spec in (first, again)]
+        got_first = execute_spec(first)
+        execute_spec(other)
+        stats = checkpoint.checkpoint_stats()
+        assert stats.cursors_built == 2
+        got_again = execute_spec(again)
+        assert stats.cursors_built == 3 and stats.duplicate_cursor_builds == 1
+        for got, reference in zip((got_first, got_again), references):
+            assert mission_result_to_dict(got) == mission_result_to_dict(reference)
+
+    def test_discard_of_the_held_key_empties_the_slot(self, live_cursors):
+        spec = _injection(seed=0)
+        execute_spec(spec)
+        checkpoint.manager().discard(_injection(seed=1).prefix_key())
+        assert live_cursors() == 1
+        checkpoint.manager().discard(spec.prefix_key())
+        assert live_cursors() == 0
+        execute_spec(_injection(seed=0, injection_time=6.0))
+        stats = checkpoint.checkpoint_stats()
+        assert stats.cursors_built == 2 and stats.cursor_restarts == 0
 
 class TestManagerOrdering:
     def test_out_of_order_fork_restarts_the_cursor(self, monkeypatch):

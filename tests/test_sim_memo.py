@@ -14,8 +14,9 @@ from repro.perception.collision_check import (
     CollisionCheckNode,
 )
 from repro.perception.point_cloud import POINT_CLOUD_MEMO, PointCloudGenerator, PointCloudNode
-from repro.planning.memo import PLAN_MEMO, memoized_plan
+from repro.planning.memo import PLAN_MEMO, memoized_waypoints
 from repro.planning.rrt import PlanningProblem, make_planner
+from repro.planning.smoothing import PathSmoother
 from repro.rosmw.graph import NodeGraph
 from repro.rosmw.message import (
     CollisionCheckMsg,
@@ -362,7 +363,8 @@ def _fill_every_memo():
     collision_node, _ = _collision_node()
     _check(collision_node)
     problem = PlanningProblem(start=np.array([0.0, 0.0, 2.0]), goal=np.array([9.0, 0.0, 2.0]))
-    memoized_plan(make_planner("rrt", seed=0, max_iterations=50, step_size=3.0), problem)
+    planner = make_planner("rrt", seed=0, max_iterations=50, step_size=3.0)
+    memoized_waypoints(planner, problem, PathSmoother())
 
 
 class TestLifecycle:
