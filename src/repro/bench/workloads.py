@@ -24,12 +24,12 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.perception.point_cloud import PointCloudGenerator
-from repro.planning.rrt import CERT_SLACK, PLANNER_CLASSES, PlanningProblem, _TreePlannerBase
+from repro.planning.rrt import PLANNER_CLASSES, PlanningProblem, _TreePlannerBase
 from repro.rosmw.message import DepthImageMsg, Waypoint
 from repro.sim.environments import make_environment
 from repro.sim.sensors import CameraConfig, DepthCamera
 from repro.sim.vehicle import QuadrotorState
-from repro.sim.world import Cuboid, World
+from repro.sim.world import CERT_SLACK, Cuboid, World
 
 
 @dataclass

@@ -33,15 +33,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.sim.world import CERT_SLACK
+
 #: Spacing (m) of the collision samples along an edge.
 EDGE_STEP = 0.5
-
-#: Margin (m) by which a certificate must beat the clearance, and by which a
-#: certified point must lie inside the bounds.  It is about 1e8 times the
-#: rounding of any coordinate or kd-tree distance here, also after a chain of
-#: hundreds of decayed radii, so a certificate never accepts what the exact
-#: check would reject.
-CERT_SLACK = 1e-6
 
 #: Doubles the sample stream draws from the generator at a time.
 _SAMPLE_BLOCK = 256

@@ -41,6 +41,14 @@ class Publisher:
         self.publish_count += 1
         return self._node.graph.topic_bus.publish(self.topic, message)
 
+    def has_readers(self) -> bool:
+        """Whether a subscription or a tap would see what this publishes.
+
+        rclpy's ``get_subscription_count() > 0``, counting taps too: a sensor
+        may skip measuring a sample that no one would read.
+        """
+        return self._node.graph.topic_bus.has_readers(self.topic)
+
 
 class Subscription:
     """Handle representing one subscription of a node."""

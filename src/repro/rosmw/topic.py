@@ -144,6 +144,11 @@ class TopicBus:
         topic = self._topics.get(name)
         return 0 if topic is None else len(topic.callbacks)
 
+    def has_readers(self, name: str) -> bool:
+        """Whether a message published on ``name`` reaches a subscriber or a tap."""
+        topic = self._topics.get(name)
+        return topic is not None and bool(topic.callbacks or topic.taps)
+
     def reset_statistics(self) -> None:
         """Zero the per-topic publish counters (between missions)."""
         for topic in self._topics.values():

@@ -24,6 +24,17 @@ import numpy as np
 
 from repro.sim.memo import memo_key
 
+#: Margin (m) by which a clearance certificate must beat the threshold it
+#: certifies, and by which a certified point must lie inside the planning
+#: bounds.  Both certificates use it: the planners' free-space certificates
+#: (:mod:`repro.planning.rrt`) and the flight loop's ground-truth collision
+#: test (:mod:`repro.sim.airsim`).  It is far above the rounding of any
+#: coordinate or distance either computes: about 1e8 times for the planners,
+#: also after a chain of hundreds of decayed radii, and 500 times for the
+#: flight loop, which keeps no clearance past ``CLEARANCE_CAP``.  So a
+#: certificate never accepts what the exact check would reject.
+CERT_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class Cuboid:

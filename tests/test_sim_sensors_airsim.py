@@ -1,11 +1,13 @@
 """Tests for the simulated sensors and the AirSim interface node."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import topics
 from repro.rosmw.graph import NodeGraph
-from repro.rosmw.message import FlightCommandMsg
+from repro.rosmw.message import FlightCommandMsg, ImuMsg
 from repro.sim.airsim import AirSimInterfaceNode, MissionConfig
 from repro.sim.sensors import CameraConfig, DepthCamera, Imu, OdometrySensor
 from repro.sim.vehicle import QuadrotorState
@@ -87,6 +89,8 @@ def _make_airsim(world=None, goal=(10.0, 0.0, 1.5), time_limit=30.0):
 class TestAirSimInterface:
     def test_publishes_sensor_topics(self):
         graph, _ = _make_airsim()
+        # The IMU is measured only for a reader.
+        graph.topic_bus.subscribe(topics.IMU, ImuMsg, lambda msg: None)
         graph.spin_until(1.0)
         assert graph.topic_bus.publish_count(topics.DEPTH_IMAGE) >= 4
         assert graph.topic_bus.publish_count(topics.ODOMETRY) >= 15
@@ -201,3 +205,56 @@ class TestAirSimInterface:
         count = graph.topic_bus.publish_count(topics.DEPTH_IMAGE)
         graph.spin_until(12.0)
         assert graph.topic_bus.publish_count(topics.DEPTH_IMAGE) == count
+
+
+class TestImuReaders:
+    """The IMU is measured and published only while someone reads it."""
+
+    @staticmethod
+    def _launch(attach, seed=7):
+        """A flight whose IMU ``attach(graph, node)`` may read, attached before launch."""
+        graph = NodeGraph()
+        node = AirSimInterfaceNode(
+            world=World(name="open"),
+            mission=MissionConfig(goal=np.array([50.0, 0.0, 1.5]), time_limit=30.0),
+            seed=seed,
+        )
+        graph.add_node(node)
+        attach(graph, node)
+        graph.start_all()
+        graph.topic_bus.publish(topics.FLIGHT_COMMAND, FlightCommandMsg(vx=2.0, vz=0.5, yaw_rate=0.3))
+        graph.spin_until(2.0)
+        return graph
+
+    def test_unread_imu_is_never_measured(self, monkeypatch):
+        calls = []
+        measure = Imu.measure
+        monkeypatch.setattr(Imu, "measure", lambda imu, state: calls.append(state) or measure(imu, state))
+        graph = self._launch(lambda graph, node: None)
+        assert calls == []
+        assert graph.topic_bus.publish_count(topics.IMU) == 0
+        assert graph.topic_bus.publish_count(topics.ODOMETRY) >= 30
+
+    @pytest.mark.parametrize("reader", ["subscriber", "tap"])
+    def test_reader_gets_the_ungated_stream(self, reader):
+        received, states = [], []
+
+        def read(msg, node):
+            received.append(msg)
+            states.append(copy.deepcopy(node.vehicle.state))
+
+        def attach(graph, node):
+            if reader == "subscriber":
+                graph.topic_bus.subscribe(topics.IMU, ImuMsg, lambda msg: read(msg, node))
+            else:
+                graph.topic_bus.add_tap(topics.IMU, lambda name, msg: read(msg, node) or msg)
+
+        graph = self._launch(attach)
+        assert len(received) == graph.topic_bus.publish_count(topics.IMU) >= 30
+        ungated = Imu(seed=7)
+        for msg, state in zip(received, states):
+            expected = ungated.measure(state)
+            for name in ("linear_acceleration", "angular_velocity"):
+                assert getattr(msg, name).tobytes() == getattr(expected, name).tobytes()
+            assert msg.orientation_yaw == expected.orientation_yaw
+        assert np.abs(received[-1].angular_velocity[2]) > 0.1

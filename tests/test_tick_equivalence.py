@@ -8,11 +8,14 @@ same inputs, ordinary and adversarial (NaN, +-inf, +-0.0, subnormals,
 +-1e308 and bit flips of typical states), and require byte-equal outputs,
 signed zeros included.  Any two NaNs count as equal: records serialize NaN
 without its payload, and the detectors map every NaN to one value.
+``ReferenceAirSim`` also keeps the uncertified ``world.sphere_collides`` as
+the oracle of the physics step's certified collision test.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import struct
 from typing import List, Optional
@@ -34,9 +37,9 @@ from repro.rosmw.message import (
 from repro.sim.airsim import AirSimInterfaceNode, MissionConfig
 from repro.sim.sensors import Imu, ImuConfig, OdometryConfig, OdometrySensor
 from repro.sim.tickmath import clip, norm
-from repro.sim.vehicle import QuadrotorDynamics, QuadrotorState, _wrap_angle
+from repro.sim.vehicle import QuadrotorDynamics, QuadrotorParams, QuadrotorState, _wrap_angle
 from repro.sim.wind import WindConfig, WindModel
-from repro.sim.world import Cuboid, World
+from repro.sim.world import CERT_SLACK, Cuboid, World
 
 
 # --------------------------------------------------------------- references
@@ -297,7 +300,8 @@ class ReferenceCollisionChecker(CollisionChecker):
 
 
 class ReferenceAirSim(AirSimInterfaceNode):
-    """The array form of the goal and target distances of the physics step."""
+    """The array form of the goal and target distances of the physics step,
+    with the uncertified ``world.sphere_collides`` as the collision oracle."""
 
     def _physics_step(self) -> None:
         if self.mission_done:
@@ -745,6 +749,76 @@ class TestCollisionChecker:
 
 
 # ------------------------------------------------------------ physics step
+RADIUS = QuadrotorParams().collision_radius
+
+#: The boxes a walk's world starts with (the first 0-3 of them); grazing
+#: moves aim at these boxes also where the world lacks them.
+WALK_BOXES = (
+    Cuboid.from_center((10.0, 3.0, 2.0), (2.0, 3.0, 4.0)),
+    Cuboid.from_center((17.0, -3.0, 2.0), (2.0, 3.0, 4.0)),
+    Cuboid.from_center((13.0, 0.0, 6.0), (1.0, 8.0, 1.0)),
+)
+
+#: Unit directions off a box: face normals and edge and corner diagonals.
+GRAZE_DIRECTIONS = [
+    d / np.linalg.norm(d)
+    for d in map(np.array, itertools.product((-1.0, 0.0, 1.0), repeat=3))
+    if d.any()
+]
+
+#: A mission whose goal, limit and ground the walks never reach, so that
+#: every step runs the collision test.
+FAR_MISSION = MissionConfig(
+    start=np.array([0.0, 0.0, 2.0]), goal=np.array([60.0, 25.0, 11.0]),
+    goal_tolerance=0.5, time_limit=1e9,
+)
+
+walk_moves = st.one_of(
+    # An ordinary flight step.
+    st.tuples(st.just("step"), uniform_vectors(-0.4, 0.4)),
+    # A jump anywhere, as a fault-corrupted state makes one: NaN, +-inf,
+    # 1e308, bit flips and ordinary points.
+    st.tuples(st.just("teleport"), vectors()),
+    # Off a box by RADIUS + k * CERT_SLACK / 2 along a face normal, edge or
+    # corner diagonal, flown to from `extra` metres further out.
+    st.tuples(
+        st.just("graze"), st.integers(0, len(WALK_BOXES) - 1), st.sampled_from(GRAZE_DIRECTIONS),
+        st.integers(-3, 4), st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+    ),
+    # A box added to the live world near the vehicle, possibly around it.
+    st.tuples(st.just("add"), uniform_vectors(-1.5, 1.5), uniform_vectors(0.2, 3.0)),
+)
+
+
+def _graze_points(box: Cuboid, direction: np.ndarray, k: int, extra: float):
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    anchor = np.where(direction > 0, hi, np.where(direction < 0, lo, (lo + hi) / 2))
+    clearance = RADIUS + k * CERT_SLACK / 2
+    return [anchor + (clearance + extra) * direction, anchor + clearance * direction]
+
+
+def _fly_still(nodes, position) -> None:
+    """One physics step of each node with the vehicle at rest at ``position``."""
+    for node in nodes:
+        node.vehicle.state = QuadrotorState(
+            position=np.array(position, dtype=float), time=node.vehicle.state.time
+        )
+        node.mission_done = False
+        node.outcome.reason = "incomplete"
+        with np.errstate(all="ignore"):
+            node._physics_step()
+
+
+class CountingWorld(World):
+    """A world that counts its exact clearance queries."""
+
+    queries = 0
+
+    def distance_to_nearest(self, point) -> float:
+        self.queries += 1
+        return super().distance_to_nearest(point)
+
+
 class TestPhysicsStep:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -774,3 +848,74 @@ class TestPhysicsStep:
                 ref.mission_done, ref.outcome.reason, ref._route_index,
             )
             assert_same(new.state.position, ref.state.position)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_boxes=st.integers(0, len(WALK_BOXES)), moves=st.lists(walk_moves, min_size=1, max_size=30))
+    def test_certified_collision_test_matches_the_oracle(self, n_boxes, moves):
+        """Random walks: the certified test gives the exact verdict at every step."""
+        boxes = list(WALK_BOXES[:n_boxes])
+        new = AirSimInterfaceNode(World(obstacles=list(boxes)), mission=FAR_MISSION)
+        ref = ReferenceAirSim(ReferenceWorld(obstacles=list(boxes)), mission=FAR_MISSION)
+        ref.vehicle = ReferenceDynamics(initial_state=ref.vehicle.state)
+        position = FAR_MISSION.start
+        for kind, *args in moves:
+            if kind == "step":
+                points = [position + args[0]]
+            elif kind == "teleport":
+                points = [args[0]]
+            elif kind == "graze":
+                index, direction, k, extra = args
+                points = _graze_points(WALK_BOXES[index], direction, k, extra)
+            else:
+                near = position if np.isfinite(position).all() else FAR_MISSION.start
+                box = Cuboid.from_center(near + args[0], args[1])
+                new.world.add_obstacle(box)
+                ref.world.add_obstacle(box)
+                points = [position]
+            for position in points:
+                _fly_still((new, ref), position)
+                assert (new.mission_done, new.outcome.reason, new._route_index) == (
+                    ref.mission_done, ref.outcome.reason, ref._route_index,
+                )
+                assert_same(new.state.position, ref.state.position)
+
+    def test_certificate_keeps_the_slack(self):
+        # 1.7 - (1.7 - 0.4) rounds to 0.40000000000000013, above the radius,
+        # although the vehicle at p touches the box: only the slack sends p
+        # to the exact query.
+        world = World(obstacles=[Cuboid(lo=(-2.0, -1.0, 0.0), hi=(0.0, 1.0, 4.0))])
+        c, p = np.array([1.7, 0.0, 2.0]), np.array([0.4, 0.0, 2.0])
+        assert world.distance_to_nearest(c) - abs(c[0] - p[0]) > RADIUS >= world.distance_to_nearest(p)
+        node = AirSimInterfaceNode(world, mission=FAR_MISSION)
+        _fly_still([node], c)
+        assert not node.mission_done
+        _fly_still([node], p)
+        assert node.outcome.reason == "collision"
+
+    def test_obstacle_added_after_the_certificate_is_not_missed(self):
+        world = World(obstacles=[Cuboid.from_center((30.0, 0.0, 2.0), (2.0, 2.0, 2.0))])
+        node = AirSimInterfaceNode(world, mission=FAR_MISSION)
+        _fly_still([node], (5.0, 0.0, 2.0))
+        assert node._clearance > 20.0 and not node.mission_done
+        world.add_obstacle(Cuboid.from_center((5.5, 0.0, 2.0), (1.0, 1.0, 1.0)))
+        _fly_still([node], (5.1, 0.0, 2.0))
+        assert node.outcome.reason == "collision"
+
+    @pytest.mark.parametrize("slacks", [-0.5, 0.0, 0.5, 0.9, 1.1, 2.0])
+    def test_only_a_clearance_beyond_the_slack_skips_the_query(self, slacks):
+        """Flown straight at a face, the certificate is tight: it answers only
+        beyond RADIUS + CERT_SLACK, also in a fork's deep copy."""
+        world = CountingWorld(obstacles=[Cuboid(lo=(-2.0, -1.0, 0.0), hi=(0.0, 1.0, 4.0))])
+        p = np.array([RADIUS + slacks * CERT_SLACK, 0.0, 2.0])
+        c = p + np.array([1.0, 0.0, 0.0])
+        certified = bool(world.distance_to_nearest(c) - abs(c[0] - p[0]) > RADIUS + CERT_SLACK)
+        assert certified is (slacks > 1)
+        node = AirSimInterfaceNode(world, mission=FAR_MISSION)
+        _fly_still([node], c)
+        fork = copy.deepcopy(node)
+        assert fork._clearance_boxes == fork.world._boxes_key
+        for flown in (node, fork):
+            before = flown.world.queries
+            _fly_still([flown], p)
+            assert flown.world.queries - before == (0 if certified else 1)
+            assert flown.outcome.reason == ("collision" if slacks <= 0 else "incomplete")
